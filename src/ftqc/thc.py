@@ -6,6 +6,17 @@ E[(pq), mu] = chi[p, mu] chi[q, mu].  Fits run from several seeded starts,
 each a least-squares zeta at a random chi, polished by L-BFGS-B and a short
 AdaGrad tail that keeps the best parameters seen.
 
+The optimizers evaluate the objective in Gram form, with G = E^T E:
+||E zeta E^T - V||^2 = <zeta, G zeta G> - 2 <zeta, E^T V E> + ||V||^2.  One
+(n^2, n^2) x (n^2, M) product per evaluation gives the value and the exact
+gradient, and the (n^2, n^2) residual is never formed.  The Gram value
+cancels to absolute precision ~eps ||V||^2, so thc_objective keeps the
+direct residual and scores each restart.  Each restart optimizes
+(u, zeta) with chi = c u and c = 1 / max|zeta_start|: the chi block of the
+Hessian grows as zeta^2 against an O(1) zeta block, and this change of
+variables balances the two while the optimizers still see the exact
+gradient df/du = c df/dchi.
+
 For the circuit, unit columns of chi are stored as Givens-style angle
 sequences, and both the angles and zeta are rounded to fixed-point grids;
 a single global dither is tuned so the rounded zeta keeps its 1-norm.
@@ -14,12 +25,15 @@ a single global dither is tuned so the rounded zeta keeps its 1-norm.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy import optimize
 
 from .factorizations import THCRep
+from .tensors import SYMMETRY_ATOL
 
 _PROD_FLOOR = 1e-14
 _RESIDUAL_FLOOR = 1e-12
@@ -39,11 +53,28 @@ class FitConfig:
             raise ValueError("n_starts must be at least 1")
 
 
+class RestartRecord(NamedTuple):
+    """How one restart of thc_fit ended.
+
+    objective is thc_objective of the restart's normalized rep (nan when the
+    restart was dropped); nit and status are L-BFGS-B's iteration count and
+    exit status (0 converged, 1 iteration limit, 2 stopped otherwise), or 0
+    and -1 when the least-squares start was not finite and L-BFGS-B never ran.
+    """
+
+    objective: float
+    nit: int
+    status: int
+
+
 @dataclasses.dataclass(frozen=True)
 class FitResult:
+    """Winning rep, its thc_objective, its restart index, and every restart."""
+
     rep: THCRep
     objective: float
     restart: int
+    restarts: tuple[RestartRecord, ...]
 
 
 def _pair_matrix(chi: np.ndarray) -> np.ndarray:
@@ -52,50 +83,68 @@ def _pair_matrix(chi: np.ndarray) -> np.ndarray:
     return (chi[:, None, :] * chi[None, :, :]).reshape(n * n, M)
 
 
-def _residual(chi: np.ndarray, zeta: np.ndarray, V2: np.ndarray) -> np.ndarray:
-    E = _pair_matrix(chi)
-    return E @ zeta @ E.T - V2
-
-
 def thc_objective(chi: np.ndarray, zeta: np.ndarray, V: np.ndarray) -> float:
     """Sum of squared residuals of the hypercontracted reconstruction."""
     n = chi.shape[0]
-    R = _residual(chi, zeta, V.reshape(n * n, n * n))
+    E = _pair_matrix(chi)
+    R = E @ zeta @ E.T - V.reshape(n * n, n * n)
     return float(np.sum(R * R))
 
 
-def thc_gradient(chi: np.ndarray, zeta: np.ndarray, V: np.ndarray):
-    """Analytic gradient of thc_objective, returned as (dchi, dzeta)."""
-    n, M = chi.shape
+def _exchange_symmetric(V: np.ndarray) -> np.ndarray:
+    """The (n^2, n^2) matrix of V, checked symmetric under (pq) <-> (rs)."""
+    n = V.shape[0]
     V2 = V.reshape(n * n, n * n)
-    E = _pair_matrix(chi)
-    R = E @ zeta @ E.T - V2
-    dzeta = 2.0 * E.T @ R @ E
-    # chi enters both slots of the pair matrix, so the product rule gives two
-    # contractions; they coincide only when R inherits the a<->b symmetry.
-    F = (R @ (E @ zeta)).reshape(n, n, M)
-    dchi = 4.0 * (
-        np.einsum("bk,pbk->pk", chi, F) + np.einsum("ak,apk->pk", chi, F)
-    )
-    return dchi, dzeta
+    dev = float(np.max(np.abs(V2 - V2.T)))
+    if dev > SYMMETRY_ATOL:
+        raise ValueError(
+            f"V is not symmetric under (pq) <-> (rs) (max deviation {dev:.3e})"
+        )
+    return V2
 
 
-def exact_zeta_step(chi: np.ndarray, zeta: np.ndarray, direction: np.ndarray,
-                    V: np.ndarray) -> float:
-    """Exact minimizer of the objective along a zeta-only direction.
+def _value_and_grad(chi: np.ndarray, zeta: np.ndarray, V2: np.ndarray,
+                    v_norm2: float):
+    """Gram-form objective and its gradient, returned as (f, dchi, dzeta).
 
-    The objective is quadratic in zeta, so with H = E d E^T the optimum of
-    s -> sum((R + s H)^2) is closed-form.
+    V2 must equal its transpose and v_norm2 must be sum(V2 * V2).  With
+    C = chi^T chi, G = E^T E = C * C (elementwise), W = V2 E and B = E^T W,
+
+        f = <zeta, G zeta G> - 2 <zeta, B> + v_norm2,
+        df/dzeta = 2 (G zeta G - B),
+        df/dE = 4 P,  P = E zeta G zeta - W zeta  (zeta symmetric),
+
+    and since chi enters both slots of E, df/dchi[p,k] sums P over either
+    slot against chi[., k].  The E zeta G zeta part of that sum reduces to
+    chi (zeta G zeta * C), so only W costs n^4 M and no (n^2, n^2) array is
+    formed.  zeta is symmetrized where it enters P, which keeps the gradient
+    exact for any zeta.
     """
-    n = chi.shape[0]
-    V2 = V.reshape(n * n, n * n)
+    n, M = chi.shape
     E = _pair_matrix(chi)
-    R = E @ zeta @ E.T - V2
-    H = E @ direction @ E.T
-    denom = float(np.sum(H * H))
-    if denom == 0.0:
-        return 0.0
-    return -float(np.sum(R * H)) / denom
+    C = chi.T @ chi
+    G = C * C
+    W = V2 @ E
+    B = E.T @ W
+    ZG = zeta @ G
+    GZG = G @ ZG
+    f = float(np.sum(zeta * GZG) - 2.0 * np.sum(zeta * B)) + v_norm2
+    dzeta = 2.0 * (GZG - B)
+    S = 0.5 * (ZG @ zeta.T + zeta.T @ (G @ zeta))
+    Y = (W @ (0.5 * (zeta + zeta.T))).reshape(n, n, M)
+    dchi = 4.0 * (2.0 * chi @ (S * C)
+                  - np.einsum("pqk,qk->pk", Y + Y.transpose(1, 0, 2), chi))
+    return f, dchi, dzeta
+
+
+def thc_gradient(chi: np.ndarray, zeta: np.ndarray, V: np.ndarray):
+    """Analytic gradient of thc_objective, returned as (dchi, dzeta).
+
+    V must be symmetric under exchange of the electron pairs (pq) <-> (rs).
+    """
+    V2 = _exchange_symmetric(np.asarray(V, dtype=float))
+    _, dchi, dzeta = _value_and_grad(chi, zeta, V2, float(np.sum(V2 * V2)))
+    return dchi, dzeta
 
 
 def _zeta_lstsq(chi: np.ndarray, V2: np.ndarray) -> np.ndarray:
@@ -106,14 +155,31 @@ def _zeta_lstsq(chi: np.ndarray, V2: np.ndarray) -> np.ndarray:
     return 0.5 * (zeta + zeta.T)
 
 
-def _pack(chi, zeta):
-    return np.concatenate([chi.ravel(), zeta.ravel()])
+def _chi_scale(zeta0: np.ndarray) -> float:
+    """The c in chi = c u (see the module docstring): 1 / max|zeta0|.
+
+    Because c scales with 1/V, rescaling V rescales u and zeta alike.
+    """
+    peak = float(np.max(np.abs(zeta0)))
+    return 1.0 / peak if peak > 0.0 else 1.0
 
 
-def _unpack(x, n, M):
-    chi = x[: n * M].reshape(n, M)
+def _to_vector(chi: np.ndarray, zeta: np.ndarray, c: float) -> np.ndarray:
+    return np.concatenate([(chi / c).ravel(), zeta.ravel()])
+
+
+def _from_vector(x: np.ndarray, n: int, M: int, c: float):
+    chi = c * x[: n * M].reshape(n, M)
     zeta = x[n * M:].reshape(M, M)
     return chi, zeta
+
+
+def _fit_objective(x: np.ndarray, n: int, M: int, c: float, V2: np.ndarray,
+                   v_norm2: float):
+    """Objective and exact gradient in the optimizer's variables x = (u, zeta)."""
+    chi, zeta = _from_vector(x, n, M, c)
+    f, dchi, dzeta = _value_and_grad(chi, zeta, V2, v_norm2)
+    return f, np.concatenate([(c * dchi).ravel(), dzeta.ravel()])
 
 
 def _normalized_rep(chi: np.ndarray, zeta: np.ndarray) -> THCRep:
@@ -133,13 +199,37 @@ def _normalized_rep(chi: np.ndarray, zeta: np.ndarray) -> THCRep:
     return THCRep(chi=chi, zeta=0.5 * (zeta + zeta.T))
 
 
+def _adagrad_tail(fun, x: np.ndarray, config: FitConfig, floor: float):
+    """Best point seen over the AdaGrad steps from x, so it never regresses.
+
+    Returns None when the start itself is not finite.
+    """
+    obj, grad = fun(x)
+    if not (math.isfinite(obj) and np.all(np.isfinite(x))):
+        return None
+    best_x, best = x, obj
+    accum = np.zeros_like(x)
+    for _ in range(config.adagrad_steps):
+        if best < floor:
+            break
+        accum += grad * grad
+        x = x - config.adagrad_rate * grad / (np.sqrt(accum) + config.adagrad_eps)
+        obj, grad = fun(x)
+        if not math.isfinite(obj):
+            break
+        if obj < best:
+            best, best_x = obj, x
+    return best_x
+
+
 def thc_fit(V: np.ndarray, rank: int, config: FitConfig | None = None) -> FitResult:
     """Fit a rank-M hypercontraction to the two-electron tensor.
 
     Runs config.n_starts seeded restarts; a restart that produces a
-    non-finite objective is dropped.  The strictly lowest final objective
-    wins, ties keeping the earliest seed, so results are reproducible
-    bit-for-bit for a fixed config.
+    non-finite objective is dropped.  Each surviving restart is scored by
+    thc_objective of its normalized rep; the strictly lowest wins, ties
+    keeping the earliest seed, so results are reproducible bit-for-bit for
+    a fixed config.  V must be symmetric under (pq) <-> (rs).
     """
     if config is None:
         config = FitConfig()
@@ -149,64 +239,39 @@ def thc_fit(V: np.ndarray, rank: int, config: FitConfig | None = None) -> FitRes
         raise ValueError("V must be a fourth-order tensor with equal sides")
     if rank < 1:
         raise ValueError("rank must be at least 1")
-    V2 = V.reshape(n * n, n * n)
+    V2 = _exchange_symmetric(V)
     scale = float(np.sum(V2 * V2))
 
-    def fun(x):
-        chi, zeta = _unpack(x, n, rank)
-        E = _pair_matrix(chi)
-        R = E @ zeta @ E.T - V2
-        obj = float(np.sum(R * R))
-        dzeta = 2.0 * E.T @ R @ E
-        F = (R @ (E @ zeta)).reshape(n, n, rank)
-        dchi = 4.0 * np.einsum("bk,pbk->pk", chi, F)
-        return obj, _pack(dchi, dzeta)
-
-    best_x = None
-    best_obj = np.inf
-    best_restart = -1
+    best = None
+    records = []
     for restart in range(config.n_starts):
         rng = np.random.default_rng(config.seed + restart)
         chi0 = rng.normal(size=(n, rank))
         chi0 /= np.linalg.norm(chi0, axis=0)
         zeta0 = _zeta_lstsq(chi0, V2)
         if not np.all(np.isfinite(zeta0)):
+            records.append(RestartRecord(math.nan, 0, -1))
             continue
-        x = _pack(chi0, zeta0)
+        c = _chi_scale(zeta0)
+        fun = functools.partial(_fit_objective, n=n, M=rank, c=c, V2=V2,
+                                v_norm2=scale)
         res = optimize.minimize(
-            fun, x, jac=True, method="L-BFGS-B",
+            fun, _to_vector(chi0, zeta0, c), jac=True, method="L-BFGS-B",
             options={"maxiter": config.lbfgs_maxiter},
         )
-        if not np.all(np.isfinite(res.x)):
-            continue
-        x = res.x
-        obj, grad = fun(x)
-        if not math.isfinite(obj):
-            continue
-        # AdaGrad tail; the best point seen is kept, so it never regresses.
-        local_best_x, local_best = x, obj
-        accum = np.zeros_like(x)
-        for _ in range(config.adagrad_steps):
-            if local_best < 1e-14 * max(scale, 1.0):
-                break
-            accum += grad * grad
-            x = x - config.adagrad_rate * grad / (np.sqrt(accum)
-                                                  + config.adagrad_eps)
-            obj, grad = fun(x)
-            if not math.isfinite(obj):
-                break
-            if obj < local_best:
-                local_best, local_best_x = obj, x
-        if local_best < best_obj:
-            best_obj = local_best
-            best_x = local_best_x
-            best_restart = restart
-    if best_x is None:
+        x = _adagrad_tail(fun, res.x, config, 1e-14 * max(scale, 1.0))
+        obj = math.nan
+        if x is not None:
+            rep = _normalized_rep(*_from_vector(x, n, rank, c))
+            obj = thc_objective(rep.chi, rep.zeta, V)
+        records.append(RestartRecord(obj, int(res.nit), int(res.status)))
+        if math.isfinite(obj) and (best is None or obj < best[1]):
+            best = (rep, obj, restart)
+    if best is None:
         raise RuntimeError("every restart diverged")
-    chi, zeta = _unpack(best_x, n, rank)
-    rep = _normalized_rep(chi, zeta)
-    final = thc_objective(rep.chi, rep.zeta, V)
-    return FitResult(rep=rep, objective=final, restart=best_restart)
+    rep, obj, restart = best
+    return FitResult(rep=rep, objective=obj, restart=restart,
+                     restarts=tuple(records))
 
 
 def angles_from_chi(chi: np.ndarray) -> np.ndarray:
@@ -258,7 +323,8 @@ class QuantizedTHC:
     """Fixed-point form of a hypercontraction: angle words and rounded zeta.
 
     x is the global dither applied before rounding zeta magnitudes; warning
-    is set when no dither preserved the 1-norm to within half a grid step.
+    is set when no dither preserved the 1-norm to within half a grid step
+    (or, at high aleph, to within the float resolution of that 1-norm).
     """
 
     theta: np.ndarray
@@ -304,7 +370,9 @@ def quantize(rep: THCRep, beth: int, aleph: int) -> QuantizedTHC:
     def gap(x: float) -> float:
         return float(np.sum(np.abs(rounded(x)))) - lam_z
 
-    tol = 0.5 * u_off
+    # Half a grid step, but never below the float resolution of a sum of M^2
+    # terms of size lambda_z, which half a step undercuts from aleph ~ 48 on.
+    tol = max(0.5 * u_off, M * M * math.ulp(lam_z))
     x, warning = 0.0, False
     if lam_z > 0.0:
         lo, hi = -1.0, 1.0

@@ -1,7 +1,10 @@
+import functools
 import math
+import types
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from ftqc import tensors, thc
 from ftqc.factorizations import THCRep, thc_reconstruct
@@ -82,21 +85,74 @@ def test_gradient_vanishes_at_exact_representation():
     assert np.max(np.abs(gzeta)) < 1e-10
 
 
-def test_exact_zeta_step_is_parabola_vertex():
-    chi, zeta = _random_factors(4, 6, 3)
-    V = tensors.random_instance(4, seed=2).V
-    _, gzeta = thc.thc_gradient(chi, zeta, V)
-    t_star = thc.exact_zeta_step(chi, zeta, -gzeta, V)
+def test_gradient_exact_for_asymmetric_zeta():
+    n, M, h = 3, 5, 1e-6
+    rng = np.random.default_rng(1)
+    A = rng.normal(size=(n * n, n * n))
+    V = (A + A.T).reshape(n, n, n, n)  # exchange-symmetric only
+    chi = rng.normal(size=(n, M))
+    zeta = rng.normal(size=(M, M))
+    gchi, gzeta = thc.thc_gradient(chi, zeta, V)
+    for X, g, f in ((chi, gchi, lambda c: thc.thc_objective(c, zeta, V)),
+                    (zeta, gzeta, lambda z: thc.thc_objective(chi, z, V))):
+        fd = np.zeros_like(X)
+        for idx in np.ndindex(X.shape):
+            e = np.zeros_like(X)
+            e[idx] = h
+            fd[idx] = (f(X + e) - f(X - e)) / (2 * h)
+        assert np.max(np.abs(g - fd)) / np.max(np.abs(fd)) < 1e-6
 
-    def phi(t):
-        return thc.thc_objective(chi, zeta - t * gzeta, V)
 
-    h = 1e-4
-    curvature = (phi(h) - 2 * phi(0.0) + phi(-h)) / h**2
-    slope = (phi(h) - phi(-h)) / (2 * h)
-    assert t_star == pytest.approx(-slope / curvature, rel=1e-6)
-    assert phi(t_star) <= phi(1.01 * t_star)
-    assert phi(t_star) <= phi(0.99 * t_star)
+def test_gradient_rejects_pair_exchange_asymmetry():
+    chi, zeta = _random_factors(3, 4, 0)
+    V = np.random.default_rng(0).normal(size=(3, 3, 3, 3))
+    with pytest.raises(ValueError, match="not symmetric under"):
+        thc.thc_gradient(chi, zeta, V)
+    with pytest.raises(ValueError, match="not symmetric under"):
+        thc.thc_fit(V, 4, config=thc.FitConfig(n_starts=1))
+
+
+def test_gram_value_matches_direct_objective():
+    n, M = 4, 7
+    V = tensors.random_instance(n, seed=3).V
+    V2 = V.reshape(n * n, n * n)
+    for seed in range(10):
+        chi, zeta = _random_factors(n, M, 200 + seed)
+        zeta = zeta + np.random.default_rng(seed).normal(size=(M, M))
+        f, _, _ = thc._value_and_grad(chi, zeta, V2, float(np.sum(V2 * V2)))
+        assert f == pytest.approx(thc.thc_objective(chi, zeta, V), rel=1e-12)
+
+
+def test_fit_hands_lbfgs_the_gradient_of_its_objective(monkeypatch):
+    n, M, h = 4, 6, 1e-6
+    V = tensors.random_instance(n, seed=5).V
+    calls = []
+
+    def spy(fun, x0, **kwargs):
+        calls.append((fun, x0))
+        return optimize.minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(thc, "optimize", types.SimpleNamespace(minimize=spy))
+    thc.thc_fit(V, M, config=thc.FitConfig(n_starts=1, lbfgs_maxiter=3,
+                                           adagrad_steps=0))
+    fun, x0 = calls[0]
+
+    def direct(x):
+        return thc.thc_objective(*thc._from_vector(x, n, M, fun.keywords["c"]), V)
+
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        x = x0 + 0.1 * rng.normal(size=x0.shape)
+        value, grad = fun(x)
+        assert value == pytest.approx(direct(x), rel=1e-12)
+        fd = np.zeros_like(x)
+        for i in range(x.size):
+            e = np.zeros_like(x)
+            e[i] = h
+            fd[i] = (direct(x + e) - direct(x - e)) / (2 * h)
+        for block in (slice(0, n * M), slice(n * M, None)):
+            err = np.max(np.abs(grad[block] - fd[block]))
+            assert err / np.max(np.abs(fd[block])) < 1e-6
 
 
 def test_fit_recovers_planted_instance():
@@ -133,6 +189,18 @@ def test_fit_result_is_valid_rep():
     assert result.objective == pytest.approx(
         thc.thc_objective(rep.chi, rep.zeta, V), rel=1e-10, abs=1e-18
     )
+
+
+def test_fit_records_every_restart():
+    V = tensors.random_instance(4, seed=11).V
+    cfg = thc.FitConfig(n_starts=3, seed=0, lbfgs_maxiter=50)
+    result = thc.thc_fit(V, 5, config=cfg)
+    assert len(result.restarts) == 3
+    assert result.objective == result.restarts[result.restart].objective
+    assert result.objective == min(r.objective for r in result.restarts)
+    for record in result.restarts:
+        assert 0 < record.nit <= cfg.lbfgs_maxiter
+        assert record.status in (0, 1, 2)
 
 
 def test_objective_invariant_under_column_permutation():
@@ -221,3 +289,19 @@ def test_quantize_rejects_bad_bits():
         thc.quantize(rep, beth=0, aleph=10)
     with pytest.raises(ValueError, match="bit counts must be positive"):
         thc.quantize(rep, beth=16, aleph=0)
+
+
+@functools.lru_cache(maxsize=None)
+def _fitted_rep_of_instance(seed):
+    V = tensors.random_instance(3, seed=seed).V
+    return thc.thc_fit(V, 6, config=thc.FitConfig(n_starts=4, seed=0)).rep
+
+
+@pytest.mark.parametrize("aleph", (48, 52))
+@pytest.mark.parametrize("seed", range(12))
+def test_quantize_high_bits_keeps_one_norm(seed, aleph):
+    rep = _fitted_rep_of_instance(seed)
+    q = thc.quantize(rep, beth=aleph, aleph=aleph)
+    lam_z = float(np.sum(np.abs(rep.zeta)))
+    assert not q.warning
+    assert abs(float(np.sum(np.abs(q.zeta_q))) - lam_z) <= 1e-12 * lam_z
