@@ -23,20 +23,13 @@ reps = [
 ]
 
 print(f"{'method':8s} {'lambda_1':>10s} {'lambda_2':>10s} {'total':>10s} "
-      f"{'|V-Vt|_1':>10s} {'size':>14s}")
+      f"{'|V-Vt|_1':>10s} {'size':>18s}")
 for name, rep, approx in reps:
     lam = fx.lambda_report(rep, data)
     l1, _ = fx.reconstruction_errors(data.V, approx)
-    if name == "sparse":
-        size = f"d={rep.d}"
-    elif name == "sf":
-        size = f"L={rep.L}"
-    elif name == "df":
-        size = f"L={rep.L}, Xi={rep.Xi_total}"
-    else:
-        size = f"M={rep.M}"
+    size = ", ".join(f"{k}={v}" for k, v in rep.sizes().items())
     print(f"{name:8s} {lam.lambda_one:10.4f} {lam.lambda_two:10.4f} "
-          f"{lam.total:10.4f} {l1:10.2e} {size:>14s}")
+          f"{lam.total:10.4f} {l1:10.2e} {size:>18s}")
 
 print()
 print("spectrum check (walk eigenphases must fit inside lambda):")

@@ -191,7 +191,6 @@ def factorize(fcidump, method, threshold, target_l, tolerance, rank, starts,
             thr = _get(merged, "threshold", float, required=True)
             rep, report = factorizations.sparse_truncate(data, kin.Tprime, thr)
             params = {"threshold": thr}
-            echo = {"d": rep.d}
         elif method == "sf":
             tl = _get(merged, "target_l", int)
             tol = _get(merged, "tolerance", float)
@@ -199,7 +198,6 @@ def factorize(fcidump, method, threshold, target_l, tolerance, rank, starts,
                                                   tolerance=tol)
             report = factorizations.lambda_report(rep, data)
             params = {"target_l": tl, "tolerance": tol}
-            echo = {"L": rep.L}
         elif method == "df":
             thr = _get(merged, "threshold", float, required=True)
             tl = _get(merged, "target_l", int)
@@ -207,7 +205,6 @@ def factorize(fcidump, method, threshold, target_l, tolerance, rank, starts,
             rep = factorizations.double_factorize(sf, thr)
             report = factorizations.lambda_report(rep, data)
             params = {"threshold": thr, "target_l": tl}
-            echo = {"L": rep.L, "Xi_total": rep.Xi_total}
         else:
             rk = _get(merged, "rank", int)
             if rk is None:
@@ -222,7 +219,6 @@ def factorize(fcidump, method, threshold, target_l, tolerance, rank, starts,
             report = factorizations.lambda_report(rep, data)
             params = {"rank": rk, "starts": n_starts, "seed": seed_val,
                       "objective": fit.objective, "restart": fit.restart}
-            echo = {"M": rep.M}
     except ValueError as exc:
         _fail(str(exc))
 
@@ -235,10 +231,11 @@ def factorize(fcidump, method, threshold, target_l, tolerance, rank, starts,
         "rep": factorizations.rep_to_dict(rep),
         "lambda": report.to_dict(),
     }
-    payload.update(echo)
+    sizes = rep.sizes()
+    payload.update(sizes)
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     pathlib.Path(out_path).write_text(text)
-    summary = " ".join(f"{k}={v}" for k, v in echo.items())
+    summary = " ".join(f"{k}={v}" for k, v in sizes.items())
     click.echo(f"{method}: {summary} lambda={report.total:.6g} -> {out_path}")
 
 
@@ -264,33 +261,38 @@ def _report_row(report: costs.CostReport) -> list:
     ]
 
 
-def _params_from_rep(rep, lam: float, merged: dict) -> costs.CostParams:
-    base = {
-        "N": 2 * rep.n_spatial,
-        "lam": lam,
-        "eps_pea": _get(merged, "eps_pea", float, default=0.001),
-        "b_r": _get(merged, "br", int, default=7),
-        "aleph": _get(merged, "aleph", int),
-        "aleph1": _get(merged, "aleph1", int),
-        "aleph2": _get(merged, "aleph2", int),
-        "beth": _get(merged, "beth", int),
-    }
-    if isinstance(rep, factorizations.SparseRep):
-        return costs.CostParams(d=rep.d, **base)
-    if isinstance(rep, factorizations.SFRep):
-        return costs.CostParams(L=rep.L, **base)
-    if isinstance(rep, factorizations.DFRep):
-        return costs.CostParams(L=rep.L, Xi_total=rep.Xi_total, **base)
-    return costs.CostParams(M=rep.M, **base)
+def _cost_params(merged: dict, N: int, lam: float, sizes: dict) -> costs.CostParams:
+    """CostParams from N, lambda and the representation's sizes; eps_pea,
+    the bit widths and Xi_max come from the flags or their defaults."""
+    return costs.CostParams(
+        N=N,
+        lam=lam,
+        eps_pea=_get(merged, "eps_pea", float, default=0.001),
+        b_r=_get(merged, "br", int, default=7),
+        aleph=_get(merged, "aleph", int),
+        aleph1=_get(merged, "aleph1", int),
+        aleph2=_get(merged, "aleph2", int),
+        beth=_get(merged, "beth", int),
+        Xi_max=_get(merged, "xi_max", int),
+        **sizes,
+    )
 
 
-def _method_key(rep) -> str:
-    return {
-        factorizations.SparseRep: "sparse",
-        factorizations.SFRep: "sf",
-        factorizations.DFRep: "df",
-        factorizations.THCRep: "thc",
-    }[type(rep)]
+def _read_rep_file(path: pathlib.Path):
+    """The representation in a factorize output (or bare rep) file and its
+    recorded lambda total, or None when no lambda was recorded."""
+    try:
+        payload = json.loads(path.read_text())
+        if not isinstance(payload, dict):
+            raise ValueError("top level is not a JSON object")
+        rep = factorizations.rep_from_dict(payload.get("rep", payload))
+        lam = payload.get("lambda", {})
+        if not (isinstance(lam, dict)
+                and isinstance(lam.get("total", 0.0), (int, float))):
+            raise ValueError("lambda total is not a number")
+    except ValueError as exc:
+        _fail(f"{path.name}: {exc}")
+    return rep, lam.get("total")
 
 
 @main.command()
@@ -348,19 +350,15 @@ def cost(method, n_qubits, rank_m, rank_l, coeff_count, xi_total, xi_max, lam,
                 _fail(f"no representation files in {from_reps}")
             hasher = hashlib.sha256()
             for f in files:
-                payload = json.loads(f.read_text())
-                rep_dict = payload.get("rep", payload)
-                lam_total = payload.get("lambda", {}).get("total")
-                rep = factorizations.rep_from_dict(rep_dict)
+                rep, lam_total = _read_rep_file(f)
                 if lam_total is None:
                     _fail(f"{f.name}: no lambda recorded; refactorize first")
-                key = _method_key(rep)
-                if method not in ("all", key):
+                if method not in ("all", rep.kind):
                     continue
                 hasher.update(f.read_bytes())
-                reports.append(
-                    _LCU_COSTERS[key](_params_from_rep(rep, lam_total, merged))
-                )
+                params = _cost_params(merged, 2 * rep.n_spatial, lam_total,
+                                      rep.sizes())
+                reports.append(_LCU_COSTERS[rep.kind](params))
             input_hash = hasher.hexdigest()
             input_name = from_reps
             if not reports:
@@ -373,27 +371,12 @@ def cost(method, n_qubits, rank_m, rank_l, coeff_count, xi_total, xi_max, lam,
             reports.append(qdrift.cost_qdrift(lam_val, eps_val, N=n_val,
                                               mode=mode_val))
         elif method in _LCU_COSTERS:
-            base = {
-                "N": _get(merged, "n", int, required=True),
-                "lam": _get(merged, "lambda", float, required=True),
-                "eps_pea": _get(merged, "eps_pea", float, default=0.001),
-                "b_r": _get(merged, "br", int, default=7),
-                "aleph": _get(merged, "aleph", int),
-                "aleph1": _get(merged, "aleph1", int),
-                "aleph2": _get(merged, "aleph2", int),
-                "beth": _get(merged, "beth", int),
-            }
-            if method == "sparse":
-                base["d"] = _get(merged, "d", int, required=True)
-            elif method == "sf":
-                base["L"] = _get(merged, "l", int, required=True)
-            elif method == "df":
-                base["L"] = _get(merged, "l", int, required=True)
-                base["Xi_total"] = _get(merged, "xi_total", int, required=True)
-                base["Xi_max"] = _get(merged, "xi_max", int)
-            else:
-                base["M"] = _get(merged, "m", int, required=True)
-            reports.append(_LCU_COSTERS[method](costs.CostParams(**base)))
+            n_val = _get(merged, "n", int, required=True)
+            lam_val = _get(merged, "lambda", float, required=True)
+            sizes = {field: _get(merged, field.lower(), int, required=True)
+                     for field in factorizations.REP_KINDS[method].size_fields}
+            reports.append(_LCU_COSTERS[method](
+                _cost_params(merged, n_val, lam_val, sizes)))
         else:
             _fail("method all needs --from-reps")
     except ValueError as exc:

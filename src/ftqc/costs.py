@@ -67,32 +67,6 @@ def contiguous_register_cost(n_bits: int) -> int:
     return n * n + n - 1
 
 
-def equal_superposition_cost_thc(M: int, b_r: int = 7) -> int:
-    """Amplitude-amplified equal superposition over the THC index range."""
-    return 10 * ceil_log2(M + 1) + 2 * b_r - 9
-
-
-def equal_superposition_cost(d: int, b_r: int = 7) -> int:
-    """Equal superposition over d items; free when d is a power of two
-    apart from the rotation."""
-    return 3 * ceil_log2(d) - 3 * two_adic_valuation(d) + 2 * b_r - 9
-
-
-def prep_bits_rule(lam: float, eps_prep: float) -> int:
-    """Analytic keep-probability bit width, ceil(2.5 + log2(lam/eps)).
-
-    The published operating points all use 10 bits instead, so the cost
-    functions default to 10; this rule is available for error-budget-driven
-    sizing.
-    """
-    return math.ceil(2.5 + math.log2(lam / eps_prep))
-
-
-def rotation_bits_rule(N: int, lam: float, eps: float) -> int:
-    """Analytic rotation bit width, ceil(5.652 + log2(N lam / (2 eps)))."""
-    return math.ceil(5.652 + math.log2(N * lam / (2.0 * eps)))
-
-
 def _default_beth(lam: float) -> int:
     """Rotation bits used by the published operating points, floor(2 log2 lam)."""
     return int(math.floor(2.0 * math.log2(lam)))
@@ -160,6 +134,8 @@ class CostParams:
     def __post_init__(self):
         if self.N < 2 or self.N % 2:
             raise ValueError("N must be an even spin-orbital count >= 2")
+        if not (math.isfinite(self.lam) and math.isfinite(self.eps_pea)):
+            raise ValueError("lambda and eps_pea must be finite")
         if self.lam <= 0:
             raise ValueError("lambda must be positive")
         if self.eps_pea <= 0:

@@ -12,6 +12,15 @@ Each representation carries an induced 1-norm (lambda) that sets the walk
 step count, split into one-body and two-body parts, plus the identity shift
 its block encoding discards.  The shift formulas here are the single source
 of truth for the spectrum checks in :mod:`ftqc.verify`.
+
+Every representation class owns its per-kind behaviour through one
+protocol: a ``kind`` name, the cost-model size fields it declares in
+``size_fields`` (read back by :meth:`sizes`), ``lambda_report(Tprime)``,
+``encoded_terms(Tprime)``, ``to_dict()`` and the ``from_dict`` classmethod.
+The kind -> class registry behind :func:`rep_from_dict` is the only place
+the four kinds are listed; nothing else dispatches on representation type.
+SF and DF share the squared-one-body algebra and differ only in how the
+one-body and factor norms are taken: entrywise for SF, Schatten for DF.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import json
 
 import numpy as np
 
-from .tensors import IntegralData, compute_T, count_unique_above
+from .tensors import IntegralData, compute_T
 
 UNIT_COLUMN_ATOL = 1e-10
 ZETA_SYMMETRY_ATOL = 1e-12
@@ -71,8 +80,40 @@ class EncodedOperator:
     shift: float
 
 
+def _entrywise_norm(A: np.ndarray) -> float:
+    return float(np.sum(np.abs(A)))
+
+
+def _schatten_norm(A: np.ndarray) -> float:
+    return float(np.sum(np.abs(np.linalg.eigvalsh(A))))
+
+
+def _pair_matrix(chi: np.ndarray) -> np.ndarray:
+    """E[(pq), mu] = chi[p, mu] chi[q, mu], shape (n^2, M)."""
+    n, M = chi.shape
+    return (chi[:, None, :] * chi[None, :, :]).reshape(n * n, M)
+
+
+class _Rep:
+    """Members every representation kind shares."""
+
+    kind: str
+    size_fields: tuple[str, ...]
+
+    def sizes(self) -> dict:
+        """The cost-model sizes, keyed by field name in declaration order."""
+        return {name: getattr(self, name) for name in self.size_fields}
+
+    @classmethod
+    def _require(cls, payload: dict, *names: str) -> list:
+        for name in names:
+            if name not in payload:
+                raise ValueError(f"{cls.kind} representation lacks field {name!r}")
+        return [payload[name] for name in names]
+
+
 @dataclasses.dataclass(frozen=True)
-class SparseRep:
+class SparseRep(_Rep):
     """Thresholded two-body tensor stored as symmetry-unique entries.
 
     entries holds one (p, q, r, s, value) per surviving 8-fold orbit, with
@@ -80,6 +121,9 @@ class SparseRep:
     above threshold.  d counts the state-preparation data items: surviving
     two-body entries plus the n(n+1)/2 one-body slots.
     """
+
+    kind = "sparse"
+    size_fields = ("d",)
 
     n_spatial: int
     entries: tuple
@@ -105,14 +149,78 @@ class SparseRep:
                     V[c, d_, a, b] = value
         return V
 
+    def lambda_report(self, Tprime: np.ndarray) -> LambdaReport:
+        """lambda_1 = sum_pq |T'_pq|; lambda_2 is half the entrywise norm of
+        the truncated tensor over all n^4 positions."""
+        return LambdaReport(self.kind, _entrywise_norm(Tprime),
+                            0.5 * _entrywise_norm(self.dense()),
+                            {"threshold": self.threshold, "d": self.d})
+
+    def encoded_terms(self, Tprime: np.ndarray) -> EncodedOperator:
+        Tprime = np.asarray(Tprime, dtype=float)
+        Vt = self.dense()
+        B = np.einsum("pqrr->pq", Vt)
+        shift = float(np.trace(Tprime)) - 0.5 * float(np.einsum("pprr->", Vt))
+        return EncodedOperator(one_body=Tprime - B, two_body=Vt, shift=shift)
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "n_spatial": self.n_spatial,
+                "threshold": self.threshold, "d": self.d,
+                "entries": [list(entry) for entry in self.entries]}
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> SparseRep:
+        n, entries, threshold, d = cls._require(
+            payload, "n_spatial", "entries", "threshold", "d")
+        entries = tuple((int(p), int(q), int(r), int(s), float(v))
+                        for p, q, r, s, v in entries)
+        return cls(int(n), entries, float(threshold), int(d))
+
+
+class _SquaredOneBody(_Rep):
+    """V = sum_l W_l (x) W_l, each W_l encoded as a squared one-body operator.
+
+    Subclasses give the factors W_l (_factors) and the 1-norm of each as its
+    block encoding prepares it (_factor_norms).
+    """
+
+    def _lambda_two(self) -> float:
+        """(1/4) sum_l (1-norm of W_l)^2: the recentred squared blocks."""
+        return 0.25 * float(sum(norm ** 2 for norm in self._factor_norms()))
+
+    def reconstruct(self) -> np.ndarray:
+        n = self.n_spatial
+        V = np.zeros((n, n, n, n))
+        for W in self._factors():
+            V += np.einsum("pq,rs->pqrs", W, W)
+        return V
+
+    def encoded_terms(self, Tprime: np.ndarray) -> EncodedOperator:
+        Tprime = np.asarray(Tprime, dtype=float)
+        D = np.zeros((self.n_spatial, self.n_spatial))
+        trace_sq = 0.0
+        for W in self._factors():
+            tw = float(np.trace(W))
+            D += tw * W
+            trace_sq += tw * tw
+        # Each squared one-body factor is PSD, so the walk encodes it centered:
+        # the half-range lambda_two joins the discarded identity.
+        shift = float(np.trace(Tprime)) - 0.5 * trace_sq + self._lambda_two()
+        return EncodedOperator(
+            one_body=Tprime - D, two_body=self.reconstruct(), shift=shift)
+
 
 @dataclasses.dataclass(frozen=True)
-class SFRep:
+class SFRep(_SquaredOneBody):
     """Single factorization V = sum_l W_l (x) W_l.
 
     Ws are symmetric (n, n) matrices ordered by descending eigenvalue of the
-    flattened two-body matrix, square-root weights absorbed.
+    flattened two-body matrix, square-root weights absorbed.  Each W_l is
+    prepared in the computational basis, so its norm is entrywise.
     """
+
+    kind = "sf"
+    size_fields = ("L",)
 
     n_spatial: int
     Ws: tuple
@@ -121,22 +229,41 @@ class SFRep:
     def L(self) -> int:
         return len(self.Ws)
 
-    def reconstruct(self) -> np.ndarray:
-        n = self.n_spatial
-        V = np.zeros((n, n, n, n))
-        for W in self.Ws:
-            V += np.einsum("pq,rs->pqrs", W, W)
-        return V
+    def _factors(self):
+        return self.Ws
+
+    def _factor_norms(self):
+        return (np.sum(np.abs(W)) for W in self.Ws)
+
+    def lambda_report(self, Tprime: np.ndarray) -> LambdaReport:
+        """lambda_1 is the entrywise 1-norm of T'; lambda_2 is
+        (1/4) sum_l (sum_pq |W^l_pq|)^2."""
+        return LambdaReport(self.kind, _entrywise_norm(Tprime),
+                            self._lambda_two(), {"L": self.L})
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "n_spatial": self.n_spatial, "L": self.L,
+                "Ws": [W.tolist() for W in self.Ws]}
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> SFRep:
+        n, Ws = cls._require(payload, "n_spatial", "Ws")
+        return cls(int(n), tuple(np.asarray(W, dtype=float) for W in Ws))
 
 
 @dataclasses.dataclass(frozen=True)
-class DFRep:
+class DFRep(_SquaredOneBody):
     """Double factorization: per-l eigenbases with truncated spectra.
 
     fs[l] holds the retained eigenvalues of W_l sorted by descending
     magnitude (ties keep the eigensolver's ascending-eigenvalue order);
-    Us[l] holds the matching orthonormal eigenvectors as columns.
+    Us[l] holds the matching orthonormal eigenvectors as columns.  Each
+    truncated W_l = U diag(f) U^T is prepared in its eigenbasis, so its norm
+    is the Schatten norm sum_m |f_m|.
     """
+
+    kind = "df"
+    size_fields = ("L", "Xi_total")
 
     n_spatial: int
     fs: tuple
@@ -162,25 +289,44 @@ class DFRep:
     def Xi_avg(self) -> float:
         return self.Xi_total / self.L if self.L else 0.0
 
-    def W_list(self) -> list:
-        """Truncated W_l = U diag(f) U^T for each retained l."""
+    def _factors(self):
         return [(U * f) @ U.T for f, U in zip(self.fs, self.Us)]
 
-    def reconstruct(self) -> np.ndarray:
-        n = self.n_spatial
-        V = np.zeros((n, n, n, n))
-        for W in self.W_list():
-            V += np.einsum("pq,rs->pqrs", W, W)
-        return V
+    def _factor_norms(self):
+        return (np.sum(np.abs(f)) for f in self.fs)
+
+    def _summary(self) -> dict:
+        return {"threshold": self.threshold, **self.sizes(), "Xi_avg": self.Xi_avg}
+
+    def lambda_report(self, Tprime: np.ndarray) -> LambdaReport:
+        """Basis rotations let lambda_1 use the Schatten 1-norm of T';
+        lambda_2 is (1/4) sum_l (sum_m |f_m^l|)^2 over the retained spectra."""
+        return LambdaReport(self.kind, _schatten_norm(Tprime),
+                            self._lambda_two(), self._summary())
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "n_spatial": self.n_spatial, **self._summary(),
+                "fs": [f.tolist() for f in self.fs],
+                "Us": [U.tolist() for U in self.Us]}
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> DFRep:
+        n, fs, Us, threshold = cls._require(
+            payload, "n_spatial", "fs", "Us", "threshold")
+        return cls(int(n), tuple(np.asarray(f, dtype=float) for f in fs),
+                   tuple(np.asarray(U, dtype=float) for U in Us), float(threshold))
 
 
 @dataclasses.dataclass(frozen=True)
-class THCRep:
+class THCRep(_Rep):
     """Tensor hypercontraction factors.
 
     chi has shape (n, M) with unit-2-norm columns; zeta is the symmetric
     (M, M) core matrix.
     """
+
+    kind = "thc"
+    size_fields = ("M",)
 
     chi: np.ndarray
     zeta: np.ndarray
@@ -210,6 +356,32 @@ class THCRep:
     def n_spatial(self) -> int:
         return self.chi.shape[0]
 
+    def lambda_report(self, Tprime: np.ndarray) -> LambdaReport:
+        """lambda_1 diagonalizes T' (built from the exact V); lambda_2 is
+        (1/2) sum_{mu,nu} |zeta|."""
+        return LambdaReport(self.kind, _schatten_norm(Tprime),
+                            0.5 * _entrywise_norm(self.zeta), {"M": self.M})
+
+    def encoded_terms(self, Tprime: np.ndarray) -> EncodedOperator:
+        Tprime = np.asarray(Tprime, dtype=float)
+        c2 = np.sum(self.chi * self.chi, axis=0)
+        B = np.einsum("pm,qm,m->pq", self.chi, self.chi, self.zeta @ c2)
+        shift = float(np.trace(Tprime)) - 0.5 * float(c2 @ self.zeta @ c2)
+        return EncodedOperator(
+            one_body=Tprime - B, two_body=thc_reconstruct(self), shift=shift)
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "n_spatial": self.n_spatial, "M": self.M,
+                "chi": self.chi.tolist(), "zeta": self.zeta.tolist()}
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> THCRep:
+        chi, zeta = cls._require(payload, "chi", "zeta")
+        return cls(np.asarray(chi, dtype=float), np.asarray(zeta, dtype=float))
+
+
+REP_KINDS = {cls.kind: cls for cls in (SparseRep, SFRep, DFRep, THCRep)}
+
 
 def sparse_truncate(data: IntegralData, Tprime: np.ndarray, threshold: float):
     """Drop two-body entries at or below threshold.
@@ -232,24 +404,7 @@ def sparse_truncate(data: IntegralData, Tprime: np.ndarray, threshold: float):
                 entries.append((p, q, r, s, float(V[p, q, r, s])))
     d = len(entries) + n * (n + 1) // 2
     rep = SparseRep(n_spatial=n, entries=tuple(entries), threshold=float(threshold), d=d)
-    lam = lambda_sparse(rep, Tprime)
-    return rep, lam
-
-
-def lambda_sparse(rep: SparseRep, Tprime: np.ndarray) -> LambdaReport:
-    """Induced 1-norm of the sparse encoding.
-
-    lambda_1 = sum_pq |T'_pq|, lambda_2 = (1/2) sum over all n^4 entries of
-    the truncated tensor.
-    """
-    lam_one = float(np.sum(np.abs(Tprime)))
-    lam_two = 0.5 * float(np.sum(np.abs(rep.dense())))
-    return LambdaReport(
-        method="sparse",
-        lambda_one=lam_one,
-        lambda_two=lam_two,
-        provenance={"threshold": rep.threshold, "d": rep.d},
-    )
+    return rep, rep.lambda_report(Tprime)
 
 
 def single_factorize(
@@ -301,23 +456,6 @@ def single_factorize(
     return SFRep(n_spatial=n, Ws=tuple(Ws))
 
 
-def lambda_sf(rep: SFRep, Tprime: np.ndarray) -> LambdaReport:
-    """Induced 1-norm of the single-factorized encoding.
-
-    The squared one-body blocks are recentred, so the two-body part is
-    (1/4) sum_l (sum_pq |W^l_pq|)^2; the one-body part is the entrywise
-    1-norm of T'.
-    """
-    lam_one = float(np.sum(np.abs(Tprime)))
-    lam_two = 0.25 * float(sum(np.sum(np.abs(W)) ** 2 for W in rep.Ws))
-    return LambdaReport(
-        method="sf",
-        lambda_one=lam_one,
-        lambda_two=lam_two,
-        provenance={"L": rep.L},
-    )
-
-
 def double_factorize(rep: SFRep, threshold: float) -> DFRep:
     """Truncate each W_l spectrum, dropping small eigenvalue contributions.
 
@@ -345,66 +483,16 @@ def double_factorize(rep: SFRep, threshold: float) -> DFRep:
     )
 
 
-def lambda_df(rep: DFRep, Tprime: np.ndarray) -> LambdaReport:
-    """Induced 1-norm of the double-factorized encoding.
-
-    Basis rotations let the one-body part use the Schatten 1-norm of T'
-    rather than the entrywise norm; the two-body part is
-    (1/4) sum_l (sum_m |f_m^l|)^2 over the retained spectra.
-    """
-    lam_one = float(np.sum(np.abs(np.linalg.eigvalsh(Tprime))))
-    lam_two = 0.25 * float(sum(np.sum(np.abs(f)) ** 2 for f in rep.fs))
-    return LambdaReport(
-        method="df",
-        lambda_one=lam_one,
-        lambda_two=lam_two,
-        provenance={
-            "threshold": rep.threshold,
-            "L": rep.L,
-            "Xi_total": rep.Xi_total,
-            "Xi_avg": rep.Xi_avg,
-        },
-    )
-
-
 def thc_reconstruct(rep: THCRep) -> np.ndarray:
     """Assemble G_pqrs from the factors.
 
     Works through the (n^2, M) intermediate so the cost is O(n^2 M^2 + n^4 M),
     never materializing an (M, n^4) object.
     """
-    n, M = rep.chi.shape
-    E = (rep.chi[:, None, :] * rep.chi[None, :, :]).reshape(n * n, M)
+    n = rep.n_spatial
+    E = _pair_matrix(rep.chi)
     tmp = E @ rep.zeta
     return (tmp @ E.T).reshape(n, n, n, n)
-
-
-def lambda_thc(rep: THCRep, data: IntegralData) -> LambdaReport:
-    """Induced 1-norm of the hypercontraction encoding.
-
-    The one-body part diagonalizes T' built from the exact V; the two-body
-    part is (1/2) sum_{mu,nu} |zeta|.
-    """
-    Tprime = compute_T(data).Tprime
-    lam_one = float(np.sum(np.abs(np.linalg.eigvalsh(Tprime))))
-    lam_two = 0.5 * float(np.sum(np.abs(rep.zeta)))
-    return LambdaReport(
-        method="thc",
-        lambda_one=lam_one,
-        lambda_two=lam_two,
-        provenance={"M": rep.M},
-    )
-
-
-def lambda_thc_naive(rep: THCRep) -> float:
-    """Triangle-inequality bound sum |zeta_mn| (sum_p |chi_p^m|)^2 (sum_r |chi_r^n|)^2.
-
-    Evaluated in factorized form; never expands the n^4 tensor.  Always at
-    least twice the two-body lambda of :func:`lambda_thc` because unit-2-norm
-    columns have 1-norm >= 1.
-    """
-    c2 = np.sum(np.abs(rep.chi), axis=0) ** 2
-    return float(c2 @ np.abs(rep.zeta) @ c2)
 
 
 def reconstruction_errors(V: np.ndarray, approx: np.ndarray):
@@ -417,105 +505,20 @@ def reconstruction_errors(V: np.ndarray, approx: np.ndarray):
     return float(np.sum(np.abs(diff))), float(np.sqrt(np.sum(diff * diff)))
 
 
-def encoded_terms(rep, Tprime: np.ndarray) -> EncodedOperator:
-    """Effective one-body matrix, two-body tensor, and identity shift.
-
-    These are the terms the walk operator for the given representation
-    actually encodes; :mod:`ftqc.verify` diagonalizes them to confirm the
-    lambda bound.  The two-body contraction that each encoding absorbs into
-    its one-body part is subtracted here, and the discarded identity
-    component appears as the scalar shift.
-    """
-    Tprime = np.asarray(Tprime, dtype=float)
-    trace = float(np.trace(Tprime))
-    if isinstance(rep, SparseRep):
-        Vt = rep.dense()
-        B = np.einsum("pqrr->pq", Vt)
-        shift = trace - 0.5 * float(np.einsum("pprr->", Vt))
-        return EncodedOperator(one_body=Tprime - B, two_body=Vt, shift=shift)
-    if isinstance(rep, (SFRep, DFRep)):
-        Ws = rep.W_list() if isinstance(rep, DFRep) else list(rep.Ws)
-        n = rep.n_spatial
-        Vrec = np.zeros((n, n, n, n))
-        D = np.zeros((n, n))
-        trace_sq = 0.0
-        for W in Ws:
-            Vrec += np.einsum("pq,rs->pqrs", W, W)
-            tw = float(np.trace(W))
-            D += tw * W
-            trace_sq += tw * tw
-        # Each squared one-body factor is PSD, so the walk encodes it centered:
-        # the half-range lambda_two joins the discarded identity.  The norm is
-        # entrywise when the factor is prepared in the computational basis (SF)
-        # and Schatten when it is prepared in its eigenbasis (DF).
-        if isinstance(rep, DFRep):
-            lam_two = 0.25 * float(sum(np.sum(np.abs(f)) ** 2 for f in rep.fs))
-        else:
-            lam_two = 0.25 * float(sum(np.sum(np.abs(W)) ** 2 for W in Ws))
-        shift = trace - 0.5 * trace_sq + lam_two
-        return EncodedOperator(one_body=Tprime - D, two_body=Vrec, shift=shift)
-    if isinstance(rep, THCRep):
-        G = thc_reconstruct(rep)
-        c2 = np.sum(rep.chi * rep.chi, axis=0)
-        B = np.einsum("pm,qm,m->pq", rep.chi, rep.chi, rep.zeta @ c2)
-        shift = trace - 0.5 * float(c2 @ rep.zeta @ c2)
-        return EncodedOperator(one_body=Tprime - B, two_body=G, shift=shift)
-    raise TypeError(f"unknown representation type {type(rep).__name__}")
+def _registered(rep):
+    if REP_KINDS.get(getattr(rep, "kind", None)) is not type(rep):
+        raise TypeError(f"unknown representation type {type(rep).__name__}")
+    return rep
 
 
 def lambda_report(rep, data: IntegralData) -> LambdaReport:
-    """Dispatch to the representation's lambda computation."""
-    Tprime = compute_T(data).Tprime
-    if isinstance(rep, SparseRep):
-        return lambda_sparse(rep, Tprime)
-    if isinstance(rep, SFRep):
-        return lambda_sf(rep, Tprime)
-    if isinstance(rep, DFRep):
-        return lambda_df(rep, Tprime)
-    if isinstance(rep, THCRep):
-        return lambda_thc(rep, data)
-    raise TypeError(f"unknown representation type {type(rep).__name__}")
+    """The representation's lambda, with T' built from the exact V of data."""
+    return _registered(rep).lambda_report(compute_T(data).Tprime)
 
 
 def rep_to_dict(rep, lam: LambdaReport | None = None, metadata: dict | None = None) -> dict:
     """Serialize a representation to a JSON-ready dict (row-major arrays)."""
-    out: dict = {"schema": SCHEMA_VERSION}
-    if isinstance(rep, SparseRep):
-        out.update(
-            kind="sparse",
-            n_spatial=rep.n_spatial,
-            threshold=rep.threshold,
-            d=rep.d,
-            entries=[[p, q, r, s, v] for p, q, r, s, v in rep.entries],
-        )
-    elif isinstance(rep, SFRep):
-        out.update(
-            kind="sf",
-            n_spatial=rep.n_spatial,
-            L=rep.L,
-            Ws=[W.tolist() for W in rep.Ws],
-        )
-    elif isinstance(rep, DFRep):
-        out.update(
-            kind="df",
-            n_spatial=rep.n_spatial,
-            threshold=rep.threshold,
-            L=rep.L,
-            Xi_total=rep.Xi_total,
-            Xi_avg=rep.Xi_avg,
-            fs=[f.tolist() for f in rep.fs],
-            Us=[U.tolist() for U in rep.Us],
-        )
-    elif isinstance(rep, THCRep):
-        out.update(
-            kind="thc",
-            n_spatial=rep.n_spatial,
-            M=rep.M,
-            chi=rep.chi.tolist(),
-            zeta=rep.zeta.tolist(),
-        )
-    else:
-        raise TypeError(f"unknown representation type {type(rep).__name__}")
+    out = {"schema": SCHEMA_VERSION, **_registered(rep).to_dict()}
     if lam is not None:
         out["lambda"] = lam.to_dict()
     if metadata:
@@ -524,37 +527,18 @@ def rep_to_dict(rep, lam: LambdaReport | None = None, metadata: dict | None = No
 
 
 def rep_from_dict(payload: dict):
-    """Inverse of :func:`rep_to_dict`."""
+    """Inverse of :func:`rep_to_dict`; malformed payloads raise ValueError."""
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"representation must be a JSON object, not {type(payload).__name__}")
     kind = payload.get("kind")
-    if kind == "sparse":
-        entries = tuple(
-            (int(p), int(q), int(r), int(s), float(v))
-            for p, q, r, s, v in payload["entries"]
-        )
-        return SparseRep(
-            n_spatial=int(payload["n_spatial"]),
-            entries=entries,
-            threshold=float(payload["threshold"]),
-            d=int(payload["d"]),
-        )
-    if kind == "sf":
-        return SFRep(
-            n_spatial=int(payload["n_spatial"]),
-            Ws=tuple(np.asarray(W, dtype=float) for W in payload["Ws"]),
-        )
-    if kind == "df":
-        return DFRep(
-            n_spatial=int(payload["n_spatial"]),
-            fs=tuple(np.asarray(f, dtype=float) for f in payload["fs"]),
-            Us=tuple(np.asarray(U, dtype=float) for U in payload["Us"]),
-            threshold=float(payload["threshold"]),
-        )
-    if kind == "thc":
-        return THCRep(
-            chi=np.asarray(payload["chi"], dtype=float),
-            zeta=np.asarray(payload["zeta"], dtype=float),
-        )
-    raise ValueError(f"unknown representation kind {kind!r}")
+    cls = REP_KINDS.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown representation kind {kind!r}")
+    try:
+        return cls.from_dict(payload)
+    except TypeError as exc:
+        raise ValueError(f"{kind} representation: {exc}") from None
 
 
 def save_rep(rep, path, lam: LambdaReport | None = None, metadata: dict | None = None):

@@ -378,6 +378,8 @@ def cost_qdrift(lam: float, eps: float, N: int | None = None,
     multiple of pi (exact rotation synthesis) and re-optimize the window
     with the step fixed; extras carries both ideal and adjusted counts.
     """
+    if not (math.isfinite(lam) and math.isfinite(eps)):
+        raise ValueError("lambda and eps must be finite")
     if lam <= 0 or eps <= 0:
         raise ValueError("lambda and eps must be positive")
     inputs = {"lambda": lam, "eps": eps, "N": N, "mode": mode}

@@ -80,6 +80,9 @@ class IntegralData:
             raise ValueError("need at least one orbital")
         if V.shape != (n, n, n, n):
             raise ValueError(f"V must have shape {(n,) * 4}, got {V.shape}")
+        for name, value in (("h", h), ("V", V), ("e_core", self.e_core)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         dev = float(np.max(np.abs(h - h.T))) if h.size else 0.0
         if dev > SYMMETRY_ATOL:
             raise ValueError(f"h is not symmetric (max deviation {dev:.3e})")

@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import optimize
 
-from .factorizations import THCRep
+from .factorizations import THCRep, _pair_matrix
 from .tensors import SYMMETRY_ATOL
 
 _PROD_FLOOR = 1e-14
@@ -75,12 +75,6 @@ class FitResult:
     objective: float
     restart: int
     restarts: tuple[RestartRecord, ...]
-
-
-def _pair_matrix(chi: np.ndarray) -> np.ndarray:
-    """E[(pq), mu] = chi[p, mu] chi[q, mu], shape (n^2, M)."""
-    n, M = chi.shape
-    return (chi[:, None, :] * chi[None, :, :]).reshape(n * n, M)
 
 
 def thc_objective(chi: np.ndarray, zeta: np.ndarray, V: np.ndarray) -> float:

@@ -12,7 +12,6 @@ import dataclasses
 
 import numpy as np
 
-from .factorizations import encoded_terms, lambda_report
 from .tensors import IntegralData, compute_T
 
 MAX_SPIN_ORBITALS = 8
@@ -34,11 +33,6 @@ class FockMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def particle_numbers(self) -> np.ndarray:
-        """Occupation count of each basis state."""
-        return np.array([bin(k).count("1") for k in range(self.dim)])
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
@@ -120,8 +114,8 @@ def lambda_bounds_spectrum(rep, data: IntegralData) -> dict:
     if 2 * n > MAX_SPIN_ORBITALS:
         raise ValueError(f"spectrum oracle needs 2*n_spatial <= {MAX_SPIN_ORBITALS}")
     Tprime = compute_T(data).Tprime
-    terms = encoded_terms(rep, Tprime)
-    lam = lambda_report(rep, data)
+    terms = rep.encoded_terms(Tprime)
+    lam = rep.lambda_report(Tprime)
     fock = build_exact_hamiltonian(terms.one_body, terms.two_body, 2 * n)
     eigs = fock.eigenvalues()
     max_abs_shifted = float(np.max(np.abs(eigs - terms.shift)))

@@ -161,32 +161,108 @@ def test_cost_qdrift(runner):
     assert report["logical_qubits"] == 270
 
 
-def test_cost_from_reps(runner, fcidump_file, tmp_path):
+_FACTORIZE_ARGS = {
+    "sparse": ["--threshold", "0.01"],
+    "sf": [],
+    "df": ["--threshold", "1e-6"],
+    "thc": ["--rank", "4", "--starts", "1"],
+}
+
+# CLI flag carrying each representation size field.
+_SIZE_FLAGS = {"d": "--d", "L": "--L", "Xi_total": "--xi-total", "M": "--M"}
+
+
+@pytest.fixture
+def rep_dir(runner, fcidump_file, tmp_path):
     reps = tmp_path / "reps"
     reps.mkdir()
-    for method, extra in [
-        ("sparse", ["--threshold", "0.01"]),
-        ("sf", []),
-    ]:
+    for method, extra in _FACTORIZE_ARGS.items():
         result = runner.invoke(main, [
             "factorize", str(fcidump_file), "--method", method,
             *extra, "-o", str(reps / f"{method}.json"),
         ])
         assert result.exit_code == 0, _text(result)
+    return reps
 
+
+def test_cost_from_reps(runner, rep_dir):
     result = runner.invoke(main, [
-        "cost", "--method", "all", "--from-reps", str(reps),
+        "cost", "--method", "all", "--from-reps", str(rep_dir),
     ])
     assert result.exit_code == 0, _text(result)
     payload = json.loads(result.output)
     methods = {r["method"] for r in payload["reports"]}
-    assert methods == {"sparse", "sf"}
+    assert methods == set(_FACTORIZE_ARGS)
 
     result = runner.invoke(main, [
-        "cost", "--method", "sparse", "--from-reps", str(reps),
+        "cost", "--method", "sparse", "--from-reps", str(rep_dir),
     ])
     assert result.exit_code == 0
     assert len(json.loads(result.output)["reports"]) == 1
+
+
+@pytest.mark.parametrize("method", sorted(_FACTORIZE_ARGS))
+def test_cost_from_reps_matches_flag_path(runner, rep_dir, method):
+    saved = json.loads((rep_dir / f"{method}.json").read_text())
+    result = runner.invoke(main, [
+        "cost", "--method", method, "--from-reps", str(rep_dir),
+    ])
+    assert result.exit_code == 0, _text(result)
+    from_reps = json.loads(result.output)["reports"]
+
+    args = ["cost", "--method", method,
+            "--N", str(2 * saved["rep"]["n_spatial"]),
+            "--lambda", repr(saved["lambda"]["total"])]
+    for field, flag in _SIZE_FLAGS.items():
+        if field in saved:
+            args += [flag, str(saved[field])]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, _text(result)
+    assert json.loads(result.output)["reports"] == from_reps
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"rep": {"kind": "sf", "n_spatial": 2}, "lambda": {"total": 1.0}}',
+     "bad.json: sf representation lacks field 'Ws'"),
+    ("[1, 2, 3]", "bad.json: top level is not a JSON object"),
+    ('{"rep": {"kind": "sf", "n_spatial": null, "Ws": []}}',
+     "bad.json: sf representation: int() argument"),
+    ('{"rep": {"kind": "sf", "n_spatial": 2, "Ws": []}, "lambda": 5}',
+     "bad.json: lambda total is not a number"),
+], ids=["missing-field", "not-an-object", "null-field", "bad-lambda"])
+def test_cost_from_reps_malformed_file(runner, tmp_path, content, message):
+    reps = tmp_path / "reps"
+    reps.mkdir()
+    (reps / "bad.json").write_text(content)
+    result = runner.invoke(main, [
+        "cost", "--method", "all", "--from-reps", str(reps),
+    ])
+    assert result.exit_code == 1
+    assert f"error: {message}" in _text(result)
+    assert "Traceback" not in _text(result)
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+
+
+_NAN_FCIDUMP = "&FCI NORB=1,NELEC=2,MS2=0,\n&END\nnan 1 1 1 1\n-1.0 1 1 0 0\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["factorize", "{fcidump}", "--method", "sparse", "--threshold", "0.0"],
+    ["cost", "--method", "thc", "--N", "108", "--M", "350", "--lambda", "inf"],
+    ["cost", "--method", "qdrift", "--lambda", "inf"],
+    ["cost", "--method", "thc", "--N", "108", "--M", "350", "--lambda", "nan"],
+    ["cost", "--method", "sparse", "--N", "108", "--d", "705831",
+     "--lambda", "2135.3", "--eps-pea", "inf"],
+], ids=["nan-fcidump", "thc-lambda-inf", "qdrift-lambda-inf", "lambda-nan",
+        "eps-pea-inf"])
+def test_non_finite_input_rejected(runner, tmp_path, args):
+    fcidump = tmp_path / "FCIDUMP"
+    fcidump.write_text(_NAN_FCIDUMP)
+    result = runner.invoke(main, [a.format(fcidump=fcidump) for a in args])
+    assert result.exit_code == 1, _text(result)
+    assert "error:" in _text(result)
+    assert "Traceback" not in _text(result)
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
 
 
 def test_cost_missing_parameter(runner):

@@ -83,23 +83,6 @@ def test_contiguous_register_cost():
         costs.contiguous_register_cost(0)
 
 
-def test_equal_superposition_costs():
-    assert costs.equal_superposition_cost_thc(1) == 15
-    assert costs.equal_superposition_cost_thc(350) == 95
-    # power-of-two range drops the comparison test entirely
-    assert costs.equal_superposition_cost(256, b_r=7) == 2 * 7 - 9
-    assert costs.equal_superposition_cost(255, b_r=7) == 29
-
-
-def test_bit_width_rules():
-    assert costs.prep_bits_rule(306.3, 0.001 / 8) == math.ceil(
-        2.5 + math.log2(306.3 / (0.001 / 8))
-    )
-    assert costs.rotation_bits_rule(108, 306.3, 0.001) == math.ceil(
-        5.652 + math.log2(108 * 306.3 / (2 * 0.001))
-    )
-
-
 def test_cost_params_validation():
     with pytest.raises(ValueError, match="even spin-orbital count"):
         CostParams(N=3, lam=1.0)
@@ -109,6 +92,9 @@ def test_cost_params_validation():
         CostParams(N=4, lam=0.0)
     with pytest.raises(ValueError, match="eps_pea must be positive"):
         CostParams(N=4, lam=1.0, eps_pea=0.0)
+    for lam, eps_pea in ((math.inf, 0.001), (math.nan, 0.001), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="must be finite"):
+            CostParams(N=4, lam=lam, eps_pea=eps_pea)
     with pytest.raises(ValueError, match="cost_thc needs M"):
         costs.cost_thc(CostParams(N=4, lam=1.0))
     with pytest.raises(ValueError, match="cost_sparse needs d"):

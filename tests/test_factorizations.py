@@ -107,7 +107,7 @@ def test_single_factorize_tolerance_stop():
 def test_lambda_sf_matches_loops():
     data, kin = _instance(3, 8)
     rep = fz.single_factorize(data)
-    lam = fz.lambda_sf(rep, kin.Tprime)
+    lam = rep.lambda_report(kin.Tprime)
     lam_two = 0.25 * sum(np.sum(np.abs(W)) ** 2 for W in rep.Ws)
     assert lam.lambda_one == pytest.approx(np.sum(np.abs(kin.Tprime)), rel=1e-13)
     assert lam.lambda_two == pytest.approx(lam_two, rel=1e-13)
@@ -155,7 +155,7 @@ def test_double_factorize_monotone_in_threshold():
     for t in np.linspace(0.0, 0.3, 16):
         df = fz.double_factorize(sf, float(t))
         xis.append(df.Xi_total)
-        lams.append(fz.lambda_df(df, kin.Tprime).lambda_two)
+        lams.append(df.lambda_report(kin.Tprime).lambda_two)
     assert all(a >= b for a, b in zip(xis, xis[1:]))
     assert all(a >= b - 1e-12 for a, b in zip(lams, lams[1:]))
 
@@ -163,7 +163,7 @@ def test_double_factorize_monotone_in_threshold():
 def test_lambda_df_matches_loops():
     data, kin = _instance(3, 13)
     df = fz.double_factorize(fz.single_factorize(data), 1e-8)
-    lam = fz.lambda_df(df, kin.Tprime)
+    lam = df.lambda_report(kin.Tprime)
     lam_one = sum(abs(x) for x in np.linalg.eigvalsh(kin.Tprime))
     lam_two = 0.25 * sum(sum(abs(x) for x in f) ** 2 for f in df.fs)
     assert lam.lambda_one == pytest.approx(lam_one, rel=1e-13)
@@ -212,13 +212,11 @@ def test_lambda_thc_and_naive_bound():
     zeta = rng.normal(size=(5, 5))
     zeta = (zeta + zeta.T) / 2.0
     rep = fz.THCRep(chi=chi, zeta=zeta)
-    lam = fz.lambda_thc(rep, data)
+    lam = rep.lambda_report(kin.Tprime)
     assert lam.lambda_one == pytest.approx(
         float(np.sum(np.abs(np.linalg.eigvalsh(kin.Tprime)))), rel=1e-13
     )
     assert lam.lambda_two == pytest.approx(0.5 * float(np.sum(np.abs(zeta))), rel=1e-13)
-    # unit 2-norm columns have 1-norm >= 1
-    assert fz.lambda_thc_naive(rep) >= 2.0 * lam.lambda_two - 1e-12
 
 
 def test_reconstruction_errors():
@@ -232,7 +230,7 @@ def test_reconstruction_errors():
 def test_encoded_terms_sparse_algebra():
     data, kin = _instance(3, 17)
     rep, _ = fz.sparse_truncate(data, kin.Tprime, 0.0)
-    enc = fz.encoded_terms(rep, kin.Tprime)
+    enc = rep.encoded_terms(kin.Tprime)
     Vt = rep.dense()
     B = np.einsum("pqrr->pq", Vt)
     assert np.allclose(enc.one_body, kin.Tprime - B, atol=1e-13)
@@ -249,7 +247,7 @@ def test_encoded_terms_thc_algebra():
     zeta = rng.normal(size=(4, 4))
     zeta = (zeta + zeta.T) / 2.0
     rep = fz.THCRep(chi=chi, zeta=zeta)
-    enc = fz.encoded_terms(rep, kin.Tprime)
+    enc = rep.encoded_terms(kin.Tprime)
     assert np.allclose(enc.two_body, fz.thc_reconstruct(rep), atol=1e-12)
     c2 = np.sum(chi * chi, axis=0)
     B = np.einsum("pm,qm,m->pq", chi, chi, zeta @ c2)
@@ -313,3 +311,20 @@ def test_rep_serialization_round_trip(tmp_path, kind):
 def test_rep_from_dict_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown representation kind"):
         fz.rep_from_dict({"kind": "bogus"})
+
+
+def test_rep_from_dict_names_missing_field():
+    with pytest.raises(ValueError, match="df representation lacks field 'Us'"):
+        fz.rep_from_dict({"kind": "df", "n_spatial": 2, "fs": [], "threshold": 0.0})
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        fz.rep_from_dict([])
+
+
+def test_rep_sizes_follow_size_fields():
+    data, kin = _instance(3, 24)
+    sparse, _ = fz.sparse_truncate(data, kin.Tprime, 0.1)
+    df = fz.double_factorize(fz.single_factorize(data), 1e-6)
+    assert sparse.sizes() == {"d": sparse.d}
+    assert df.sizes() == {"L": df.L, "Xi_total": df.Xi_total}
+    assert {kind: cls.kind for kind, cls in fz.REP_KINDS.items()} == {
+        "sparse": "sparse", "sf": "sf", "df": "df", "thc": "thc"}

@@ -205,5 +205,8 @@ def test_cost_qdrift_validation():
         qdrift.cost_qdrift(lam=0.0, eps=0.001)
     with pytest.raises(ValueError, match="must be positive"):
         qdrift.cost_qdrift(lam=1.0, eps=0.0)
+    for lam, eps in ((float("inf"), 0.001), (float("nan"), 0.001), (1.0, float("inf"))):
+        with pytest.raises(ValueError, match="must be finite"):
+            qdrift.cost_qdrift(lam=lam, eps=eps)
     with pytest.raises(ValueError, match="unknown mode"):
         qdrift.cost_qdrift(lam=1.0, eps=0.1, mode="median")

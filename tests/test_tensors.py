@@ -42,6 +42,14 @@ def test_integral_data_validation():
     bad_V[0, 1, 2, 0] += 1e-6
     with pytest.raises(ValueError, match="8-fold permutational symmetry"):
         tensors.IntegralData(h=h, V=bad_V)
+    nan_V = V.copy()
+    nan_V[0, 0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="V must be finite"):
+        tensors.IntegralData(h=h, V=nan_V)
+    with pytest.raises(ValueError, match="h must be finite"):
+        tensors.IntegralData(h=np.full((n, n), np.inf), V=V)
+    with pytest.raises(ValueError, match="e_core must be finite"):
+        tensors.IntegralData(h=h, V=V, e_core=np.nan)
 
 
 def test_compute_T_matches_loops():
