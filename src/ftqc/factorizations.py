@@ -2,7 +2,9 @@
 
 Four interchangeable representations feed the qubitized-walk cost models:
 
-* sparse: keep symmetry-unique entries above a magnitude threshold;
+* sparse: keep symmetry-unique entries above a magnitude threshold, stored
+  as ``SparseRep.indices`` (canonical orbit rows, int (k, 4)) and
+  ``SparseRep.values`` (float (k,));
 * single factorization: V = sum_l W_l (x) W_l from the PSD flattening;
 * double factorization: each W_l eigendecomposed and truncated;
 * tensor hypercontraction: V ~ G with G_pqrs = sum_{mu,nu}
@@ -30,7 +32,8 @@ import json
 
 import numpy as np
 
-from .tensors import IntegralData, compute_T
+from .tensors import (IntegralData, compute_T, orbit_keys, scatter_eightfold,
+                      unique_orbits)
 
 UNIT_COLUMN_ATOL = 1e-10
 ZETA_SYMMETRY_ATOL = 1e-12
@@ -105,6 +108,10 @@ class _Rep:
         return {name: getattr(self, name) for name in self.size_fields}
 
     @classmethod
+    def _invalid(cls, message: str) -> ValueError:
+        return ValueError(f"{cls.kind} representation: {message}")
+
+    @classmethod
     def _require(cls, payload: dict, *names: str) -> list:
         for name in names:
             if name not in payload:
@@ -116,38 +123,49 @@ class _Rep:
 class SparseRep(_Rep):
     """Thresholded two-body tensor stored as symmetry-unique entries.
 
-    entries holds one (p, q, r, s, value) per surviving 8-fold orbit, with
-    p <= q, r <= s and (p, q) <= (r, s); every stored magnitude is strictly
-    above threshold.  d counts the state-preparation data items: surviving
-    two-body entries plus the n(n+1)/2 one-body slots.
+    indices (int, (k, 4)) holds the canonical row p <= q, r <= s,
+    (p, q) <= (r, s) of each surviving 8-fold orbit, values (float, (k,))
+    its entry, strictly above threshold in magnitude.  d counts the
+    state-preparation data items: k plus the n(n+1)/2 one-body slots.
     """
 
     kind = "sparse"
     size_fields = ("d",)
 
     n_spatial: int
-    entries: tuple
+    indices: np.ndarray
+    values: np.ndarray
     threshold: float
-    d: int
 
     def __post_init__(self):
-        for p, q, r, s, value in self.entries:
-            if abs(value) <= self.threshold:
-                raise ValueError(
-                    f"entry ({p},{q},{r},{s}) magnitude {abs(value):.3e} "
-                    f"not above threshold {self.threshold:.3e}"
-                )
+        n = self.n_spatial
+        indices = np.asarray(self.indices, dtype=np.intp)
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "values", values)
+        if values.ndim != 1 or indices.shape != (values.size, 4):
+            raise self._invalid(
+                f"indices of shape {indices.shape} for values of shape {values.shape}")
+        if np.any((indices < 0) | (indices >= n)):
+            raise self._invalid(f"orbital index outside 0..{n - 1}")
+        keys = orbit_keys(indices, n)
+        if np.any(keys != indices @ n ** np.arange(3, -1, -1)):
+            raise self._invalid("non-canonical entry row")
+        if np.any(np.diff(np.sort(keys)) == 0):
+            raise self._invalid("repeated orbit")
+        small = np.flatnonzero(np.abs(values) <= self.threshold)
+        if small.size:
+            raise self._invalid(
+                f"entry {tuple(indices[small[0]].tolist())} magnitude "
+                f"{abs(values[small[0]]):.3e} not above threshold {self.threshold:.3e}")
+
+    @property
+    def d(self) -> int:
+        return self.values.size + self.n_spatial * (self.n_spatial + 1) // 2
 
     def dense(self) -> np.ndarray:
         """Expand the stored orbits back to a full 8-fold-symmetric tensor."""
-        n = self.n_spatial
-        V = np.zeros((n, n, n, n))
-        for p, q, r, s, value in self.entries:
-            for a, b in {(p, q), (q, p)}:
-                for c, d_ in {(r, s), (s, r)}:
-                    V[a, b, c, d_] = value
-                    V[c, d_, a, b] = value
-        return V
+        return scatter_eightfold(self.n_spatial, self.indices, self.values)
 
     def lambda_report(self, Tprime: np.ndarray) -> LambdaReport:
         """lambda_1 = sum_pq |T'_pq|; lambda_2 is half the entrywise norm of
@@ -164,17 +182,27 @@ class SparseRep(_Rep):
         return EncodedOperator(one_body=Tprime - B, two_body=Vt, shift=shift)
 
     def to_dict(self) -> dict:
+        rows = np.column_stack([self.indices.astype(object),
+                                self.values.astype(object)])
         return {"kind": self.kind, "n_spatial": self.n_spatial,
                 "threshold": self.threshold, "d": self.d,
-                "entries": [list(entry) for entry in self.entries]}
+                "entries": rows.tolist()}
 
     @classmethod
     def from_dict(cls, payload: dict) -> SparseRep:
         n, entries, threshold, d = cls._require(
             payload, "n_spatial", "entries", "threshold", "d")
-        entries = tuple((int(p), int(q), int(r), int(s), float(v))
-                        for p, q, r, s, v in entries)
-        return cls(int(n), entries, float(threshold), int(d))
+        try:
+            rows = np.array(entries, dtype=float) if len(entries) else np.empty((0, 5))
+        except ValueError:
+            rows = np.empty(0)
+        if rows.ndim != 2 or rows.shape[1] != 5 or np.any(rows[:, :4] % 1):
+            raise cls._invalid("entries must be rows (p, q, r, s, value) with "
+                               "integer p, q, r, s")
+        rep = cls(int(n), rows[:, :4], rows[:, 4], float(threshold))
+        if rep.d != d:
+            raise cls._invalid(f"d = {d} but its entries give {rep.d}")
+        return rep
 
 
 class _SquaredOneBody(_Rep):
@@ -391,19 +419,11 @@ def sparse_truncate(data: IntegralData, Tprime: np.ndarray, threshold: float):
     untruncated V); the two-body part is half the entrywise 1-norm of the
     surviving tensor, counting all n^4 positions.
     """
-    V = data.V
     n = data.n_spatial
-    mask = np.abs(V) > threshold
-    rows, cols = np.triu_indices(n)
-    entries = []
-    for a in range(rows.size):
-        p, q = int(rows[a]), int(cols[a])
-        for b in range(a, rows.size):
-            r, s = int(rows[b]), int(cols[b])
-            if mask[p, q, r, s]:
-                entries.append((p, q, r, s, float(V[p, q, r, s])))
-    d = len(entries) + n * (n + 1) // 2
-    rep = SparseRep(n_spatial=n, entries=tuple(entries), threshold=float(threshold), d=d)
+    indices = unique_orbits(n)
+    values = data.V[tuple(indices.T)]
+    keep = np.abs(values) > threshold
+    rep = SparseRep(n, indices[keep], values[keep], float(threshold))
     return rep, rep.lambda_report(Tprime)
 
 

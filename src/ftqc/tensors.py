@@ -5,6 +5,11 @@ over spatial orbitals, with the full 8-fold permutational symmetry
 
     pqrs = qprs = pqsr = qpsr = rspq = srpq = rsqp = srqp.
 
+The 8-fold orbits are enumerated here only: ``EIGHTFOLD_PERMUTATIONS``,
+:func:`unique_orbits` (canonical rows, the FCIDUMP record order),
+:func:`orbit_keys` and :func:`scatter_eightfold` serve FCIDUMP input and
+output, :func:`count_unique_above` and ``SparseRep.indices``/``values``.
+
 The one-body matrix stored in :class:`IntegralData` is the bare h_pq.  The
 kinetic-style corrections used by the qubitized walk operators are derived
 quantities, see :func:`compute_T`.
@@ -21,12 +26,12 @@ SYMMETRY_ATOL = 1e-12
 DUPLICATE_ATOL = 1e-10
 
 
-def eightfold_images(p: int, q: int, r: int, s: int):
-    """All 8 index images of a chemist-ordered two-body entry."""
-    return {
-        (p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
-        (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p),
-    }
+# The 8-fold group as axis orders: row[perm] are the images of an index row
+# and V.transpose(perm) the symmetric copies of V.  The identity comes first.
+EIGHTFOLD_PERMUTATIONS = (
+    (0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2),
+    (2, 3, 0, 1), (3, 2, 0, 1), (2, 3, 1, 0), (3, 2, 1, 0),
+)
 
 
 def symmetrize_eightfold(V: np.ndarray) -> np.ndarray:
@@ -35,21 +40,38 @@ def symmetrize_eightfold(V: np.ndarray) -> np.ndarray:
     Idempotent: applying it to an already symmetric tensor is the identity.
     """
     V = np.asarray(V, dtype=float)
-    out = (
-        V
-        + V.transpose(1, 0, 2, 3)
-        + V.transpose(0, 1, 3, 2)
-        + V.transpose(1, 0, 3, 2)
-        + V.transpose(2, 3, 0, 1)
-        + V.transpose(3, 2, 0, 1)
-        + V.transpose(2, 3, 1, 0)
-        + V.transpose(3, 2, 1, 0)
-    )
+    out = V
+    for perm in EIGHTFOLD_PERMUTATIONS[1:]:
+        out = out + V.transpose(perm)
     return out / 8.0
 
 
-def _max_eightfold_deviation(V: np.ndarray) -> float:
-    return float(np.max(np.abs(V - symmetrize_eightfold(V)))) if V.size else 0.0
+def unique_orbits(n: int) -> np.ndarray:
+    """The int (K, 4) canonical rows p <= q, r <= s, (p, q) <= (r, s), one per
+    orbit, K = n(n+1)(n^2+n+2)/8: the upper triangle of the pair-index
+    matrix over the pairs p <= q, both in row-major order."""
+    rows, cols = np.triu_indices(n)
+    a, b = np.triu_indices(rows.size)
+    return np.stack([rows[a], cols[a], rows[b], cols[b]], axis=1)
+
+
+def orbit_keys(indices: np.ndarray, size: int) -> np.ndarray:
+    """Flat index in a (size,)*4 array of each row's smallest image: equal
+    for rows of one orbit, and a canonical row's own flat index."""
+    strides = size ** np.arange(3, -1, -1)
+    keys = indices @ strides
+    for perm in EIGHTFOLD_PERMUTATIONS[1:]:
+        np.minimum(keys, indices[:, perm] @ strides, out=keys)
+    return keys
+
+
+def scatter_eightfold(n: int, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The (n, n, n, n) tensor holding each value on all eight images of its
+    row (any image of an orbit, each orbit at most once), zero elsewhere."""
+    V = np.zeros((n, n, n, n))
+    for perm in EIGHTFOLD_PERMUTATIONS:
+        V[tuple(indices[:, perm].T)] = values
+    return V
 
 
 @dataclasses.dataclass(frozen=True)
@@ -86,7 +108,7 @@ class IntegralData:
         dev = float(np.max(np.abs(h - h.T))) if h.size else 0.0
         if dev > SYMMETRY_ATOL:
             raise ValueError(f"h is not symmetric (max deviation {dev:.3e})")
-        dev = _max_eightfold_deviation(V)
+        dev = float(np.max(np.abs(V - symmetrize_eightfold(V))))
         if dev > SYMMETRY_ATOL:
             raise ValueError(
                 f"V violates 8-fold permutational symmetry (max deviation {dev:.3e})"
@@ -134,20 +156,10 @@ def count_unique_above(V: np.ndarray, threshold: float) -> int:
     comparison is strict: entries with |V| exactly equal to the threshold
     are not counted.  For a dense tensor with no zeros and threshold below
     every magnitude the count is the closed form n(n+1)(n^2+n+2)/8.
-
-    The orbit representatives are enumerated as the upper triangle of the
-    pair-index matrix: pairs (a, b) with a <= b index one axis, and the
-    unordered pair-of-pairs {(a, b), (c, d)} indexes a unique entry.  This
-    realizes the four index-redundancy classes (all indices distinct, three
-    distinct, two distinct, one distinct) with orbit multiplicities 3, 6,
-    4 and 1 per index subset.
     """
     V = np.asarray(V, dtype=float)
-    n = V.shape[0]
-    rows, cols = np.triu_indices(n)
-    pair_vals = V[rows[:, None], cols[:, None], rows[None, :], cols[None, :]]
-    iu = np.triu_indices(rows.size)
-    return int(np.count_nonzero(np.abs(pair_vals[iu]) > threshold))
+    orbits = unique_orbits(V.shape[0])
+    return int(np.count_nonzero(np.abs(V[tuple(orbits.T)]) > threshold))
 
 
 def dense_unique_count(n: int) -> int:
@@ -182,28 +194,18 @@ def random_instance(
 
 def _parse_header(lines: list[str]):
     """Parse the namelist header, returning (metadata, first body line index)."""
-    header_parts: list[str] = []
-    body_start = None
-    for i, line in enumerate(lines):
-        stripped = line.strip()
-        if i == 0 and not stripped.upper().startswith("&FCI"):
-            raise ValueError("missing &FCI header on line 1")
-        header_parts.append(stripped)
-        upper = stripped.upper()
-        if upper.endswith("&END") or upper.endswith("/"):
-            body_start = i + 1
-            break
+    if lines and not lines[0].strip().upper().startswith("&FCI"):
+        raise ValueError("missing &FCI header on line 1")
+    body_start = next((i + 1 for i, line in enumerate(lines)
+                       if line.strip().upper().endswith(("&END", "/"))), None)
     if body_start is None:
         raise ValueError("header never terminated with &END or /")
-    text = " ".join(header_parts)
+    text = " ".join(line.strip() for line in lines[:body_start])
     for terminator in ("&END", "&end", "/"):
-        if text.endswith(terminator):
-            text = text[: -len(terminator)]
+        text = text.removesuffix(terminator)
     text = text[text.upper().index("&FCI") + 4:]
     meta: dict[str, int] = {}
     for token in text.replace(",", " ").split():
-        if "=" not in token:
-            continue
         key, _, value = token.partition("=")
         try:
             meta[key.strip().upper()] = int(value)
@@ -214,94 +216,109 @@ def _parse_header(lines: list[str]):
     return meta, body_start
 
 
-def load_fcidump(path) -> IntegralData:
-    """Read integrals from an FCIDUMP-format text file.
+def _parse_record(parts: list[str], n: int):
+    """The value and 1-based indices [i, j, k, l] of one record."""
+    if len(parts) != 5:
+        raise ValueError("expected 'value i j k l'")
+    value = float(parts[0].replace("D", "e").replace("d", "e"))
+    idx = [int(tok) for tok in parts[1:]]
+    for i in idx:
+        if i < 0 or i > n:
+            raise ValueError(f"orbital index {i} outside 1..{n}")
+    i, j, k, l = idx
+    if k == 0 and l == 0:
+        if (i == 0) != (j == 0):
+            raise ValueError("malformed one-body record")
+    elif 0 in idx:
+        raise ValueError("mixed zero and nonzero indices")
+    return value, idx
 
-    Records are ``value i j k l`` with 1-based indices in chemist ordering.
-    Two-body records (all four indices nonzero) populate all 8 permutation
-    images; ``k = l = 0`` records set h; the all-zero-index record sets the
-    core energy.  Duplicate records that disagree by more than 1e-10 are
-    rejected with the offending line number, as are out-of-range indices.
-    """
+
+def _parse_fcidump(path):
+    """NORB and the records of an FCIDUMP file up to its first malformed line:
+    (n, values, indices, line numbers, the fault or None)."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     meta, body_start = _parse_header(lines)
     n = meta["NORB"]
     if n < 1:
         raise ValueError(f"NORB must be positive, got {n}")
-    h = np.zeros((n, n))
-    V = np.zeros((n, n, n, n))
-    h_seen = np.zeros((n, n), dtype=bool)
-    V_seen = np.zeros((n, n, n, n), dtype=bool)
-    e_core = 0.0
-    core_seen = False
-
-    for lineno, raw in enumerate(lines[body_start:], start=body_start + 1):
-        stripped = raw.strip()
-        if not stripped:
+    body = lines[body_start:]
+    values = np.empty(len(body))
+    idx = np.empty((len(body), 4), dtype=np.int32)
+    linenos = np.empty(len(body), dtype=np.intp)
+    count, fault = 0, None
+    for lineno, raw in enumerate(body, start=body_start + 1):
+        parts = raw.split()
+        if not parts:
             continue
-        parts = stripped.split()
-        if len(parts) != 5:
-            raise ValueError(f"line {lineno}: expected 'value i j k l'")
         try:
-            value = float(parts[0].replace("D", "e").replace("d", "e"))
-            i, j, k, l = (int(tok) for tok in parts[1:])
+            values[count], idx[count] = _parse_record(parts, n)
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        for idx in (i, j, k, l):
-            if idx < 0 or idx > n:
-                raise ValueError(f"line {lineno}: orbital index {idx} outside 1..{n}")
-        if i == 0 and j == 0 and k == 0 and l == 0:
-            if core_seen and abs(e_core - value) > DUPLICATE_ATOL:
-                raise ValueError(f"line {lineno}: conflicting core-energy records")
-            e_core = value
-            core_seen = True
-        elif k == 0 and l == 0:
-            if i == 0 or j == 0:
-                raise ValueError(f"line {lineno}: malformed one-body record")
-            p, q = i - 1, j - 1
-            if h_seen[p, q] and abs(h[p, q] - value) > DUPLICATE_ATOL:
-                raise ValueError(f"line {lineno}: conflicting one-body records")
-            h[p, q] = h[q, p] = value
-            h_seen[p, q] = h_seen[q, p] = True
-        elif 0 in (i, j, k, l):
-            raise ValueError(f"line {lineno}: mixed zero and nonzero indices")
-        else:
-            p, q, r, s = i - 1, j - 1, k - 1, l - 1
-            for img in eightfold_images(p, q, r, s):
-                if V_seen[img] and abs(V[img] - value) > DUPLICATE_ATOL:
-                    raise ValueError(f"line {lineno}: conflicting two-body records")
-            for img in eightfold_images(p, q, r, s):
-                V[img] = value
-                V_seen[img] = True
-    return IntegralData(h=h, V=V, e_core=e_core)
+            fault = f"line {lineno}: {exc}"
+            break
+        linenos[count] = lineno
+        count += 1
+    return n, values[:count], idx[:count], linenos[:count], fault
+
+
+def load_fcidump(path) -> IntegralData:
+    """Read integrals from an FCIDUMP-format text file.
+
+    Records are ``value i j k l`` with 1-based indices in chemist ordering.
+    Two-body records (all four indices nonzero) populate all 8 permutation
+    images; ``k = l = 0`` records set h; the all-zero-index record sets the
+    core energy.  A record repeating an orbit (as any of its images) must
+    agree with the orbit's previous record within 1e-10, and the last one
+    wins.  The earliest malformed, out-of-range or conflicting line is
+    reported by number.
+    """
+    n, values, idx, linenos, fault = _parse_fcidump(path)
+    # With 0 in the unused slots, one-body pairs and the core record are
+    # orbits too, so one key covers all three record kinds; the stable sort
+    # keeps each orbit's records in line order.
+    keys = orbit_keys(idx, n + 1)
+    order = np.argsort(keys, kind="stable")
+    repeat = np.diff(keys[order]) == 0
+    bad = order[1:][repeat & (np.abs(np.diff(values[order])) > DUPLICATE_ATOL)]
+    if bad.size:
+        first = bad.min()
+        i, _, k, _ = idx[first]
+        kind = "core-energy" if i == 0 else "one-body" if k == 0 else "two-body"
+        raise ValueError(f"line {linenos[first]}: conflicting {kind} records")
+    if fault is not None:
+        raise ValueError(fault)
+
+    last = order[np.diff(keys[order], append=-1) != 0]
+    values, idx = values[last], idx[last]
+    two_body = idx[:, 2] != 0
+    V = scatter_eightfold(n, idx[two_body] - 1, values[two_body])
+    one_body = (idx[:, 2] == 0) & (idx[:, 0] != 0)
+    p, q = idx[one_body, :2].T - 1
+    h = np.zeros((n, n))
+    h[p, q] = h[q, p] = values[one_body]
+    core = values[idx[:, 0] == 0]
+    return IntegralData(h=h, V=V, e_core=core[0] if core.size else 0.0)
 
 
 def write_fcidump(data: IntegralData, path, nelec: int = 0, ms2: int = 0) -> None:
     """Write integrals in FCIDUMP format with one record per symmetry orbit.
 
-    Canonical record order: two-body entries over the upper pair-index
-    triangle, then one-body entries, then the core energy.  Zero entries are
-    skipped.  Values use repr-faithful formatting so a load round-trips
+    Canonical record order: two-body entries in :func:`unique_orbits` order,
+    then one-body entries over p <= q, then the core energy.  Zero entries
+    are skipped.  Values use repr-faithful formatting so a load round-trips
     bitwise.
     """
     n = data.n_spatial
-    lines = [f"&FCI NORB={n},NELEC={int(nelec)},MS2={int(ms2)},", "&END"]
-    rows, cols = np.triu_indices(n)
-    pairs = list(zip(rows.tolist(), cols.tolist()))
-    for a in range(len(pairs)):
-        for b in range(a, len(pairs)):
-            p, q = pairs[a]
-            r, s = pairs[b]
-            value = float(data.V[p, q, r, s])
-            if value != 0.0:
-                lines.append(f"{value!r} {p + 1} {q + 1} {r + 1} {s + 1}")
-    for p in range(n):
-        for q in range(p, n):
-            value = float(data.h[p, q])
-            if value != 0.0:
-                lines.append(f"{value!r} {p + 1} {q + 1} 0 0")
-    if data.e_core != 0.0:
-        lines.append(f"{float(data.e_core)!r} 0 0 0 0")
+    orbits = unique_orbits(n)
+    # the orbits (0, 0, r, s) come first and run over every pair r <= s
+    pairs = orbits[: n * (n + 1) // 2, 2:]
+    records = [(data.V[tuple(orbits.T)], orbits + 1),
+               (data.h[tuple(pairs.T)], np.hstack([pairs + 1, 0 * pairs])),
+               (np.array([data.e_core]), np.zeros((1, 4), dtype=int))]
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"&FCI NORB={n},NELEC={int(nelec)},MS2={int(ms2)},\n&END\n")
+        for values, indices in records:
+            keep = values != 0.0
+            fh.writelines(f"{value!r} {i} {j} {k} {l}\n" for value, i, j, k, l
+                          in zip(values[keep].tolist(), *indices[keep].T.tolist()))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -35,6 +36,22 @@ def test_factorize_sparse(runner, fcidump_file, tmp_path):
     assert payload["rep"]["kind"] == "sparse"
     assert payload["lambda"]["method"] == "sparse"
     assert "d=" in result.output
+
+
+def test_factorize_sparse_rep_block_pinned(runner, fcidump_file, tmp_path):
+    # the serialized sparse representation of random_instance(3, seed=7),
+    # pinned so that a change to the storage cannot move a byte of it
+    out = tmp_path / "sparse.json"
+    result = runner.invoke(main, [
+        "factorize", str(fcidump_file), "--method", "sparse",
+        "--threshold", "0.1", "-o", str(out),
+    ])
+    assert result.exit_code == 0, _text(result)
+    assert result.output == f"sparse: d=26 lambda=41.6432 -> {out}\n"
+    rep = json.loads(out.read_text())["rep"]
+    assert len(rep["entries"]) == 20
+    digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+    assert digest == "04cc3a6f1eadee7de3545d53c9e6b32ee147673dcb987c391fa0f80d3a068d9a"
 
 
 def test_factorize_sf_df(runner, fcidump_file, tmp_path):
@@ -221,6 +238,11 @@ def test_cost_from_reps_matches_flag_path(runner, rep_dir, method):
     assert json.loads(result.output)["reports"] == from_reps
 
 
+def _sparse_file(entries, d):
+    return json.dumps({"rep": {"kind": "sparse", "n_spatial": 2, "threshold": 0.1,
+                               "d": d, "entries": entries}})
+
+
 @pytest.mark.parametrize("content, message", [
     ('{"rep": {"kind": "sf", "n_spatial": 2}, "lambda": {"total": 1.0}}',
      "bad.json: sf representation lacks field 'Ws'"),
@@ -229,7 +251,21 @@ def test_cost_from_reps_matches_flag_path(runner, rep_dir, method):
      "bad.json: sf representation: int() argument"),
     ('{"rep": {"kind": "sf", "n_spatial": 2, "Ws": []}, "lambda": 5}',
      "bad.json: lambda total is not a number"),
-], ids=["missing-field", "not-an-object", "null-field", "bad-lambda"])
+    (_sparse_file([[0, 0, 0, 0]], 4),
+     "bad.json: sparse representation: entries must be rows (p, q, r, s, value)"),
+    (_sparse_file([[0, 7, 1, 1, 0.5]], 4),
+     "bad.json: sparse representation: orbital index outside 0..1"),
+    (_sparse_file([[0, 1, 1, -3, 0.5]], 4),
+     "bad.json: sparse representation: orbital index outside 0..1"),
+    (_sparse_file([[1, 0, 0, 0, 0.5]], 4),
+     "bad.json: sparse representation: non-canonical entry row"),
+    (_sparse_file([[0, 0, 0, 0, 0.5], [0, 0, 0, 0, 0.5]], 5),
+     "bad.json: sparse representation: repeated orbit"),
+    (_sparse_file([[0, 0, 0, 0, 0.5]], 999),
+     "bad.json: sparse representation: d = 999 but its entries give 4"),
+], ids=["missing-field", "not-an-object", "null-field", "bad-lambda",
+        "sparse-row-width", "sparse-index-range", "sparse-negative-index",
+        "sparse-non-canonical", "sparse-repeated-orbit", "sparse-d-mismatch"])
 def test_cost_from_reps_malformed_file(runner, tmp_path, content, message):
     reps = tmp_path / "reps"
     reps.mkdir()

@@ -26,20 +26,43 @@ def test_sparse_strict_threshold():
     rep, _ = fz.sparse_truncate(data, kin.Tprime, t)
     # the entry sitting exactly at the threshold is dropped
     assert rep.dense()[0, 1, 2, 0] == 0.0
-    for _, _, _, _, value in rep.entries:
-        assert abs(value) > t
+    assert np.all(np.abs(rep.values) > t)
 
 
 def test_sparse_entry_canonical_order():
     data, kin = _instance(4, 2)
     rep, _ = fz.sparse_truncate(data, kin.Tprime, 0.2)
-    for p, q, r, s, _ in rep.entries:
+    assert rep.indices.shape == (rep.values.size, 4)
+    for p, q, r, s in rep.indices.tolist():
         assert p <= q and r <= s and (p, q) <= (r, s)
 
 
 def test_sparse_rep_rejects_entry_at_threshold():
     with pytest.raises(ValueError, match="not above threshold"):
-        fz.SparseRep(n_spatial=2, entries=((0, 0, 0, 0, 0.1),), threshold=0.1, d=4)
+        fz.SparseRep(n_spatial=2, indices=[[0, 0, 0, 0]], values=[0.1], threshold=0.1)
+
+
+@pytest.mark.parametrize("indices, values, message", [
+    ([[0, 0, 0]], [0.5], "sparse representation: indices of shape"),
+    ([[0, 0, 0, 0]], [[0.5]], "sparse representation: indices of shape"),
+    ([[0, 1, 1, 2]], [0.5], "sparse representation: orbital index outside 0..1"),
+    ([[0, 1, 1, -1]], [0.5], "sparse representation: orbital index outside 0..1"),
+    ([[1, 0, 0, 0]], [0.5], "sparse representation: non-canonical entry row"),
+    ([[0, 0, 0, 1], [0, 0, 0, 1]], [0.5, 0.5], "sparse representation: repeated orbit"),
+])
+def test_sparse_rep_rejects_malformed_rows(indices, values, message):
+    with pytest.raises(ValueError, match=message):
+        fz.SparseRep(n_spatial=2, indices=indices, values=values, threshold=0.1)
+
+
+def test_sparse_rep_d_counts_values():
+    rep = fz.SparseRep(n_spatial=3, indices=[[0, 0, 1, 2], [0, 1, 0, 1]],
+                       values=[0.5, -0.25], threshold=0.1)
+    assert rep.d == 2 + 6
+    payload = rep.to_dict()
+    assert payload["entries"] == [[0, 0, 1, 2, 0.5], [0, 1, 0, 1, -0.25]]
+    with pytest.raises(ValueError, match="sparse representation: d = 9 but"):
+        fz.SparseRep.from_dict({**payload, "d": 9})
 
 
 def test_sparse_monotone_in_threshold():
@@ -296,8 +319,11 @@ def test_rep_serialization_round_trip(tmp_path, kind):
     back = fz.load_rep(path)
     assert type(back) is type(rep)
     if kind == "sparse":
-        assert back.entries == rep.entries
+        assert np.array_equal(back.indices, rep.indices)
+        assert back.indices.dtype == rep.indices.dtype
+        assert np.array_equal(back.values, rep.values)
         assert back.d == rep.d
+        assert back.to_dict() == rep.to_dict()
     elif kind == "sf":
         assert all(np.array_equal(a, b) for a, b in zip(back.Ws, rep.Ws))
     elif kind == "df":

@@ -4,13 +4,37 @@ import pytest
 from ftqc import tensors
 
 
-def test_eightfold_images_orbit_sizes():
-    assert len(tensors.eightfold_images(0, 1, 2, 3)) == 8
-    assert len(tensors.eightfold_images(0, 0, 1, 1)) == 2
-    assert len(tensors.eightfold_images(0, 1, 0, 1)) == 4
-    assert len(tensors.eightfold_images(0, 0, 0, 0)) == 1
-    assert (1, 0, 2, 3) in tensors.eightfold_images(0, 1, 2, 3)
-    assert (2, 3, 0, 1) in tensors.eightfold_images(0, 1, 2, 3)
+# The 8-fold images of (pq|rs), written out here so the brute-force
+# references do not depend on the code under test.
+def _images(p, q, r, s):
+    return {
+        (p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
+        (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p),
+    }
+
+
+def test_orbit_helpers():
+    for n in range(1, 8):
+        orbits = tensors.unique_orbits(n)
+        assert orbits.shape == (tensors.dense_unique_count(n), 4)
+        assert len({tuple(row) for row in orbits.tolist()}) == len(orbits)
+        # every row is its orbit's smallest image, so canonical
+        assert all(tuple(row) == min(_images(*row)) for row in orbits.tolist())
+        keys = tensors.orbit_keys(orbits, n)
+        assert np.array_equal(keys, orbits @ n ** np.arange(3, -1, -1))
+    # scattering gives each orbit size from any of its images
+    for row, size in [((0, 1, 2, 3), 8), ((0, 0, 1, 1), 2), ((0, 1, 0, 1), 4),
+                      ((0, 0, 0, 0), 1), ((3, 2, 1, 0), 8)]:
+        V = tensors.scatter_eightfold(4, np.array([row]), np.array([1.5]))
+        assert np.count_nonzero(V) == size
+        assert all(V[img] == 1.5 for img in _images(*row))
+        keys = tensors.orbit_keys(np.array(sorted(_images(*row))), 4)
+        assert np.all(keys == keys[0])
+    # scattering the canonical values of a symmetric V rebuilds it bitwise
+    V = tensors.random_instance(5, seed=4).V
+    orbits = tensors.unique_orbits(5)
+    assert np.array_equal(
+        tensors.scatter_eightfold(5, orbits, V[tuple(orbits.T)]), V)
 
 
 def test_symmetrize_idempotent():
@@ -20,7 +44,7 @@ def test_symmetrize_idempotent():
     assert np.allclose(tensors.symmetrize_eightfold(S), S, atol=1e-14)
     # symmetric output takes the same value on every image of every entry
     for p, q, r, s in [(0, 1, 2, 3), (1, 1, 2, 0), (3, 2, 1, 0)]:
-        vals = {S[i] for i in tensors.eightfold_images(p, q, r, s)}
+        vals = {S[i] for i in _images(p, q, r, s)}
         assert max(vals) - min(vals) < 1e-14
 
 
@@ -102,7 +126,7 @@ def test_count_unique_matches_brute_force():
         for q in range(n):
             for r in range(n):
                 for s in range(n):
-                    key = min(tensors.eightfold_images(p, q, r, s))
+                    key = min(_images(p, q, r, s))
                     if key in seen:
                         continue
                     seen.add(key)
@@ -145,6 +169,26 @@ def test_fcidump_round_trip_bitwise(small_data, fcidump_file):
     assert back.e_core == small_data.e_core
 
 
+def test_write_fcidump_text_pinned(tmp_path):
+    # exact text, record order included, for a two-orbital instance
+    path = tmp_path / "fcid"
+    tensors.write_fcidump(tensors.random_instance(2, 5, rank=2), path, nelec=2)
+    assert path.read_text() == (
+        "&FCI NORB=2,NELEC=2,MS2=0,\n"
+        "&END\n"
+        "0.16839237288446782 1 1 1 1\n"
+        "0.08001483952865616 1 1 1 2\n"
+        "0.00010743574398730527 1 1 2 2\n"
+        "0.5972349461060485 1 2 1 2\n"
+        "-0.5807554517943375 1 2 2 2\n"
+        "0.6032324049245137 2 2 2 2\n"
+        "0.27276877584472176 1 1 0 0\n"
+        "-1.0957969347334302 1 2 0 0\n"
+        "1.6000190889991115 2 2 0 0\n"
+        "0.2028824405086084 0 0 0 0\n"
+    )
+
+
 def test_fcidump_fortran_exponents(tmp_path):
     path = tmp_path / "fcid"
     path.write_text(
@@ -169,12 +213,35 @@ def test_fcidump_header_variants(tmp_path):
     assert data.h[0, 0] == 1.0 and data.h[1, 1] == 1.0
 
 
+def test_fcidump_without_records(tmp_path):
+    path = tmp_path / "fcid"
+    path.write_text("&FCI NORB=2\n&END\n\n")
+    data = tensors.load_fcidump(path)
+    assert not data.h.any() and not data.V.any() and data.e_core == 0.0
+
+
 def test_fcidump_populates_all_eight_images(tmp_path):
     path = tmp_path / "fcid"
-    path.write_text("&FCI NORB=3,\n&END\n 0.7 1 2 3 3\n")
+    path.write_text("&FCI NORB=3,\n&END\n 0.7 1 2 3 3\n 0.3 2 3 0 0\n 0.2 0 0 0 0\n")
     data = tensors.load_fcidump(path)
-    for idx in tensors.eightfold_images(0, 1, 2, 2):
+    for idx in _images(0, 1, 2, 2):
         assert data.V[idx] == 0.7
+    assert data.h[1, 2] == data.h[2, 1] == 0.3
+    assert np.count_nonzero(data.h) == 2
+    assert data.e_core == 0.2
+    assert np.count_nonzero(data.V) == len(_images(0, 1, 2, 2))
+
+
+def test_fcidump_non_canonical_record_fills_all_images(tmp_path):
+    path = tmp_path / "fcid"
+    path.write_text("&FCI NORB=3,\n&END\n 0.7 2 1 3 3\n 0.25 3 1 2 2\n")
+    data = tensors.load_fcidump(path)
+    for idx in _images(0, 1, 2, 2):
+        assert data.V[idx] == 0.7
+    for idx in _images(2, 0, 1, 1):
+        assert data.V[idx] == 0.25
+    assert np.count_nonzero(data.V) == (
+        len(_images(0, 1, 2, 2)) + len(_images(2, 0, 1, 1)))
 
 
 @pytest.mark.parametrize(
@@ -192,6 +259,10 @@ def test_fcidump_populates_all_eight_images(tmp_path):
         ("&FCI NORB=2\n&END\n 1.0 1 2 0 0\n 2.0 2 1 0 0\n", "line 4: conflicting one-body records"),
         ("&FCI NORB=2\n&END\n 1.0 1 0 2 0\n", "line 3: mixed zero and nonzero indices"),
         ("&FCI NORB=2\n&END\n 1.0 1 2 1 1\n 2.0 2 1 1 1\n", "line 4: conflicting two-body records"),
+        # the earliest faulty line wins, across fault and record kinds
+        ("&FCI NORB=2\n&END\n 1.0 1 2 1 1\n 2.0 1 1 2 1\n x 1 1 0 0\n", "line 4: conflicting two-body records"),
+        ("&FCI NORB=2\n&END\n 1.0 1 2 1 1\n x 1 1 0 0\n 2.0 1 1 2 1\n", "line 4: could not convert"),
+        ("&FCI NORB=2\n&END\n 1.0 1 2 1 1\n 1.0 1 1 0 0\n 2.0 1 1 0 0\n 2.0 2 1 1 1\n", "line 5: conflicting one-body records"),
     ],
 )
 def test_fcidump_rejects_malformed(tmp_path, body, message):
@@ -207,3 +278,18 @@ def test_fcidump_duplicate_within_tolerance(tmp_path):
     path.write_text("&FCI NORB=2\n&END\n 1.0 1 2 1 1\n 1.0 2 1 1 1\n")
     data = tensors.load_fcidump(path)
     assert data.V[0, 1, 0, 0] == 1.0
+
+
+@pytest.mark.parametrize("first,second", [("1.0", "1.00000000005"),
+                                          ("1.00000000005", "1.0")])
+def test_fcidump_duplicate_keeps_later_value(tmp_path, first, second):
+    # the same orbit, one-body pair and core energy given twice within 1e-10
+    path = tmp_path / "fcid"
+    path.write_text(f"&FCI NORB=2\n&END\n {first} 1 2 1 1\n {first} 2 1 0 0\n"
+                    f" {first} 0 0 0 0\n {second} 1 1 2 1\n {second} 1 2 0 0\n"
+                    f" {second} 0 0 0 0\n")
+    data = tensors.load_fcidump(path)
+    later = float(second)
+    assert all(data.V[idx] == later for idx in _images(0, 1, 0, 0))
+    assert data.h[0, 1] == data.h[1, 0] == later
+    assert data.e_core == later
