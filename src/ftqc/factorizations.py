@@ -119,7 +119,7 @@ class _Rep:
         return [payload[name] for name in names]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class SparseRep(_Rep):
     """Thresholded two-body tensor stored as symmetry-unique entries.
 
@@ -238,7 +238,7 @@ class _SquaredOneBody(_Rep):
             one_body=Tprime - D, two_body=self.reconstruct(), shift=shift)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class SFRep(_SquaredOneBody):
     """Single factorization V = sum_l W_l (x) W_l.
 
@@ -279,7 +279,7 @@ class SFRep(_SquaredOneBody):
         return cls(int(n), tuple(np.asarray(W, dtype=float) for W in Ws))
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class DFRep(_SquaredOneBody):
     """Double factorization: per-l eigenbases with truncated spectra.
 
@@ -345,7 +345,7 @@ class DFRep(_SquaredOneBody):
                    tuple(np.asarray(U, dtype=float) for U in Us), float(threshold))
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class THCRep(_Rep):
     """Tensor hypercontraction factors.
 

@@ -3,14 +3,16 @@
 The sampler applies a long product of small random rotations, so its phase
 measurement is governed by the Fourier density of the chosen window: the
 cosine window for mean-squared-error costing, and a Kaiser-style window when
-a confidence interval is the target.  Half-widths, confidence conditions,
-and the capped-density Hodges-Lehmann estimator are all evaluated by direct
-quadrature of those densities, and segment counts follow from them.
+a confidence interval is the target.  Half-widths and confidence conditions
+are read from cumulative quadratures of those densities on one shared grid.
+The capped-density Hodges-Lehmann integrals come from a single table of
+sorted cosine-density values with their Simpson sums, so each capping
+fraction costs one binary search; segment counts follow from them.
 
 Rotation angles are synthesized exactly when lambda*t is a dyadic multiple
 of pi, so the ideal time step is rounded to m*pi/2^j (m odd) and the window
 shape is re-optimized with the step held fixed; reports carry both the ideal
-and the adjusted segment counts.
+and the adjusted segment counts.  Every table is built on first use.
 """
 
 from __future__ import annotations
@@ -119,10 +121,18 @@ class _HalfLineCDF:
         return float(np.interp(q, self.frac, self.grid))
 
 
+@functools.cache
+def _grid(upper: float, points: int) -> np.ndarray:
+    """The read-only abscissae every table on [0, upper] shares."""
+    grid = np.linspace(0.0, upper, points)
+    grid.flags.writeable = False
+    return grid
+
+
 @functools.lru_cache(maxsize=512)
 def _cdf(window: str, alpha: float | None = None) -> _HalfLineCDF:
     if window == "cosine":
-        grid = np.linspace(0.0, _GRID_MAX, _GRID_POINTS)
+        grid = _grid(_GRID_MAX, _GRID_POINTS)
         return _HalfLineCDF(grid, cosine_density(grid), _cosine_tail(_GRID_MAX))
     if window in ("kaiser", "kaiser-exact"):
         if alpha is None or alpha <= 0:
@@ -130,9 +140,9 @@ def _cdf(window: str, alpha: float | None = None) -> _HalfLineCDF:
         if alpha >= _GRID_MAX / 2:
             raise ValueError(f"alpha {alpha} too large for tabulation")
         if window == "kaiser":
-            grid = np.linspace(0.0, KAISER_DOMAIN, _KAISER_POINTS)
+            grid = _grid(KAISER_DOMAIN, _KAISER_POINTS)
             return _HalfLineCDF(grid, kaiser_density_raw(grid, alpha), 0.0)
-        grid = np.linspace(0.0, _GRID_MAX, _GRID_POINTS)
+        grid = _grid(_GRID_MAX, _GRID_POINTS)
         return _HalfLineCDF(
             grid, kaiser_density_raw(grid, alpha), _kaiser_tail(_GRID_MAX, alpha)
         )
@@ -220,7 +230,6 @@ def ci_optimize(confidence: float = 0.95, delta: float | None = None):
 def _dyadic_candidates(target: float, lo_ratio=0.5, hi_ratio=1.3, span=10):
     """Dyadic angles m*pi/2^j (m odd) near a target value of lambda*t."""
     j_start = math.floor(math.log2(math.pi / target))
-    seen = set()
     out = []
     for j in range(max(1, j_start - 1), j_start + span):
         center = target * 2.0**j / math.pi
@@ -230,27 +239,21 @@ def _dyadic_candidates(target: float, lo_ratio=0.5, hi_ratio=1.3, span=10):
             if m % 2 == 0:
                 continue
             value = m * math.pi / 2.0**j
-            key = (m, j)
-            if key in seen:
-                continue
-            seen.add(key)
             if lo_ratio <= value / target <= hi_ratio:
                 out.append((m, j, value))
     out.sort(key=lambda t: (t[1], t[0]))
     return out
 
 
-def _ci_segments_at_fixed_step(lam_t: float, lam: float, eps: float,
-                               confidence: float):
+def _ci_at_fixed_step(kappa: float, confidence: float = 0.95):
     """Re-optimize alpha with lambda*t pinned to a dyadic angle.
 
     With the step fixed, delta = a lambda^2 t / eps, so the confidence
     condition becomes F_alpha(a) = confidence + kappa a with kappa =
     lambda * lam_t / eps; the smallest root minimizes the segment count
-    r = a lambda / (eps lam_t).  Returns (segments, alpha, a) or None when
-    no alpha admits a solution.
+    r = a lambda / (eps lam_t).  Returns (alpha, a) or None when no alpha
+    admits a solution.
     """
-    kappa = lam * lam_t / eps
 
     def smallest_root(alpha):
         cdf = _cdf("kaiser-exact", alpha)
@@ -258,50 +261,61 @@ def _ci_segments_at_fixed_step(lam_t: float, lam: float, eps: float,
         a_max = cdf.quantile(cdf.frac[-1] * 0.999999)
 
         def g(a):
-            return cdf.fraction(a) - confidence - kappa * a
+            return np.interp(a, cdf.grid, cdf.frac) - confidence - kappa * a
 
-        # g < 0 at a0; march until it turns positive, then bracket.
-        prev = a0
-        step = (a_max - a0) / 64.0
-        a = a0 + step
-        while a < a_max:
-            if g(a) > 0:
-                return optimize.brentq(g, prev, a, xtol=1e-12)
-            prev = a
-            a += step
-        return None
+        # g < 0 at a0; march in 64 steps until it turns positive, then
+        # bracket.  accumulate adds in order, so each point is a0 + step +
+        # ... + step to the bit rather than a0 + k step.
+        march = np.add.accumulate(np.r_[a0, np.full(65, (a_max - a0) / 64.0)])
+        march = march[: 1 + np.count_nonzero(march[1:] < a_max)]
+        positive = np.flatnonzero(g(march[1:]) > 0)
+        if not positive.size:
+            return None
+        k = positive[0]
+        return optimize.brentq(g, march[k], march[k + 1], xtol=1e-12)
 
-    def objective(alpha):
-        root = smallest_root(alpha)
-        # large finite sentinel; inf confuses the bounded minimizer
-        return root if root is not None else 1e300
-
+    # a root is positive; a large finite sentinel stands for none, because
+    # inf confuses the bounded minimizer
     res = optimize.minimize_scalar(
-        objective, bounds=(2.2, 4.2), method="bounded", options={"xatol": 2e-3}
+        lambda alpha: smallest_root(alpha) or 1e300,
+        bounds=(2.2, 4.2), method="bounded", options={"xatol": 2e-3},
     )
     alpha = float(res.x)
     a = smallest_root(alpha)
-    if a is None:
-        return None
-    segments = a * lam / (eps * lam_t)
-    return segments, alpha, a
+    return None if a is None else (alpha, a)
 
 
-_hl_grid = np.linspace(0.0, _GRID_MAX, _GRID_POINTS)
+@functools.cache
+def _hl_table():
+    """Sorted cosine-density values p on the grid with their Simpson sums.
 
+    Returns p, prefix sums of w p^2 over the values below each index, and
+    suffix sums of w and w p from each index up, w being the composite
+    Simpson weights.  Summing the capped part from the top keeps
+    int (p - cap) free of the cancellation prefix sums would suffer.
+    """
+    grid = _grid(_GRID_MAX, _GRID_POINTS)
+    h = grid[-1] / (grid.size - 1)
+    w = np.full(grid.size, 2.0 * h / 3.0)
+    w[1::2] = 4.0 * h / 3.0
+    w[[0, -1]] = h / 3.0
+    p = cosine_density(grid)
+    order = np.argsort(p)
+    p, w = p[order], w[order]
 
-@functools.lru_cache(maxsize=1)
-def _hl_density():
-    return cosine_density(_hl_grid)
+    def from_top(x):
+        return np.r_[np.cumsum(x[::-1])[::-1], 0.0]
+
+    return p, np.r_[0.0, np.cumsum(w * p * p)], from_top(w), from_top(w * p)
 
 
 def _hl_integrals(c: float):
     """Full-line int q^2 and int (p - q) for the capped density q = min(p, c p(0))."""
-    p = _hl_density()
+    p, below_p2, above_w, above_p = _hl_table()
     cap = c * COSINE_PEAK
-    q = np.minimum(p, cap)
-    i2 = 2.0 * integrate.simpson(q * q, x=_hl_grid)
-    i1 = 2.0 * integrate.simpson(np.clip(p - q, 0.0, None), x=_hl_grid)
+    k = np.searchsorted(p, cap)
+    i2 = 2.0 * (below_p2[k] + cap * cap * above_w[k])
+    i1 = 2.0 * (above_p[k] - cap * above_w[k])
     return float(i2), float(i1)
 
 
@@ -326,45 +340,37 @@ def hl_optimize():
     return float(res.x), float(res.fun)
 
 
-def _hl_lambda_t(c: float, lam: float, eps: float) -> float:
-    i2, i1 = _hl_integrals(c)
-    return 2.0 * math.sqrt(3.0) * eps * i2 * i1 / lam
-
-
-def _hl_at_fixed_step(lam_t: float, lam: float, eps: float):
-    """Both capping fractions realizing a pinned step; smaller segment count wins.
-
-    Returns (segments, c) or None when the step exceeds every realizable
-    lambda*t.
-    """
-    peak = optimize.minimize_scalar(
-        lambda c: -_hl_lambda_t(c, lam, eps),
+@functools.cache
+def _hl_peak() -> float:
+    """Capping fraction of the largest i2 i1, so of the largest lambda t."""
+    res = optimize.minimize_scalar(
+        lambda c: -math.prod(_hl_integrals(c)),
         bounds=(0.05, 0.99),
         method="bounded",
         options={"xatol": 1e-7},
     )
-    c_peak = float(peak.x)
-    if lam_t > _hl_lambda_t(c_peak, lam, eps):
+    return float(res.x)
+
+
+def _hl_at_fixed_step(target: float):
+    """Capping fraction with i2 i1 = target = lambda lam_t / (2 sqrt(3) eps).
+
+    The step is lambda t = 2 sqrt(3) eps i2 i1 / lambda.  Roots lie on both
+    sides of the peak.  At fixed i2 i1 the segment count falls as i2 grows,
+    and i2 grows with c, so the upper root wins when it exists.  Returns
+    None when the pinned step exceeds every realizable one.
+    """
+    c_peak = _hl_peak()
+
+    def f(c):
+        return math.prod(_hl_integrals(c)) - target
+
+    if f(c_peak) < 0:
         return None
-    best = None
-    for lo, hi in ((0.02, c_peak), (c_peak, 0.995)):
-        f_lo = _hl_lambda_t(lo, lam, eps) - lam_t
-        f_hi = _hl_lambda_t(hi, lam, eps) - lam_t
-        if f_lo * f_hi > 0:
-            continue
-        c = optimize.brentq(
-            lambda cc: _hl_lambda_t(cc, lam, eps) - lam_t, lo, hi, xtol=1e-12
-        )
-        segs = _hl_segments(c, lam, eps)
-        if best is None or segs < best[0]:
-            best = (segs, c)
-    return best
-
-
-def _qubits_with_iterate(N: int | None, j: int, segments: float) -> int:
-    if N is None:
-        return 0
-    return N + 2 * j + 2 * math.ceil(math.log2(segments + 1.0)) - 2
+    for lo, hi in ((c_peak, 0.995), (0.02, c_peak)):
+        if f(lo) * f(hi) <= 0:
+            return optimize.brentq(f, lo, hi, xtol=1e-12)
+    return None
 
 
 def cost_qdrift(lam: float, eps: float, N: int | None = None,
@@ -382,6 +388,15 @@ def cost_qdrift(lam: float, eps: float, N: int | None = None,
         raise ValueError("lambda and eps must be finite")
     if lam <= 0 or eps <= 0:
         raise ValueError("lambda and eps must be positive")
+    # rms raises lambda, eps and their ratio to the sixth power; these bounds
+    # keep every mode's arithmetic finite.  eps > lambda needs no sampling
+    # (rms would report negative Toffoli counts there).
+    for name, value, lo in (("lambda", lam, 1e-50), ("eps", eps, 1e-50),
+                            ("lambda/eps", lam / eps, 1.0)):
+        if not lo <= value <= 1e50:
+            raise ValueError(f"{name} = {value:g} outside [{lo:g}, 1e50]")
+    if N is not None and (N < 2 or N % 2):
+        raise ValueError("N must be an even spin-orbital count >= 2")
     inputs = {"lambda": lam, "eps": eps, "N": N, "mode": mode}
 
     if mode == "rms":
@@ -404,78 +419,60 @@ def cost_qdrift(lam: float, eps: float, N: int | None = None,
             extras={"n_exp": n_exp, "rotation_bits": q},
         )
 
+    # Each interval mode gives its ideal step and a solver that maps a pinned
+    # step to (segments, window fields), or None when no window realizes it.
     if mode == "confidence":
         alpha0, a0, delta0, ratio = ci_optimize()
+        method = "qdrift-confidence"
         n_ideal = ratio * lam * lam / (eps * eps)
         lam_t_ideal = eps * delta0 / (lam * a0)
-        best = None
-        for m, j, lam_t in _dyadic_candidates(lam_t_ideal):
-            got = _ci_segments_at_fixed_step(lam_t, lam, eps, 0.95)
-            if got is None:
-                continue
-            segments, alpha, a = got
-            total = segments * (j + 1)
-            if best is None or total < best[0]:
-                best = (total, segments, m, j, alpha, a, lam_t)
-        if best is None:
-            raise ValueError("no dyadic angle admits a confidence solution")
-        total, segments, m, j, alpha, a, lam_t = best
-        return CostReport(
-            method="qdrift-confidence",
-            toffoli_per_step=j + 1,
-            iterations=segments,
-            logical_qubits=_qubits_with_iterate(N, j, segments),
-            breakdown={"rotations": j - 1, "select": 2, "prepare": 0,
-                       "reflection": 0, "qrom": 0},
-            inputs=inputs,
-            extras={
-                "n_exp": n_ideal,
-                "n_exp_adjusted": segments,
-                "alpha_ideal": alpha0,
-                "alpha": alpha,
-                "a": a,
-                "delta_ideal": delta0,
-                "lambda_t_ideal": lam_t_ideal,
-                "lambda_t": lam_t,
-                "angle_numerator": m,
-                "angle_log2_denominator": j,
-            },
-        )
+        ideal = {"alpha_ideal": alpha0, "delta_ideal": delta0}
 
-    if mode == "hodges_lehmann":
+        def solve(lam_t):
+            got = _ci_at_fixed_step(lam * lam_t / eps)
+            if got is None:
+                return None
+            alpha, a = got
+            return a * lam / (eps * lam_t), {"alpha": alpha, "a": a}
+    elif mode == "hodges_lehmann":
         c0, constant = hl_optimize()
+        method = "qdrift-hl"
         n_ideal = constant * lam * lam / (eps * eps)
-        lam_t_ideal = _hl_lambda_t(c0, lam, eps)
-        best = None
-        for m, j, lam_t in _dyadic_candidates(lam_t_ideal):
-            got = _hl_at_fixed_step(lam_t, lam, eps)
-            if got is None:
-                continue
-            segments, c = got
-            total = segments * (j + 1)
-            if best is None or total < best[0]:
-                best = (total, segments, m, j, c, lam_t)
-        if best is None:
-            raise ValueError("no dyadic angle admits a capped-density solution")
-        total, segments, m, j, c, lam_t = best
-        return CostReport(
-            method="qdrift-hl",
-            toffoli_per_step=j + 1,
-            iterations=segments,
-            logical_qubits=_qubits_with_iterate(N, j, segments),
-            breakdown={"rotations": j - 1, "select": 2, "prepare": 0,
-                       "reflection": 0, "qrom": 0},
-            inputs=inputs,
-            extras={
-                "n_exp": n_ideal,
-                "n_exp_adjusted": segments,
-                "c_ideal": c0,
-                "c": c,
-                "lambda_t_ideal": lam_t_ideal,
-                "lambda_t": lam_t,
-                "angle_numerator": m,
-                "angle_log2_denominator": j,
-            },
-        )
+        i2, i1 = _hl_integrals(c0)
+        lam_t_ideal = 2.0 * math.sqrt(3.0) * eps * i2 * i1 / lam
+        ideal = {"c_ideal": c0}
 
-    raise ValueError(f"unknown mode {mode!r}")
+        def solve(lam_t):
+            c = _hl_at_fixed_step(lam * lam_t / (2.0 * math.sqrt(3.0) * eps))
+            return None if c is None else (_hl_segments(c, lam, eps), {"c": c})
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+
+    # fewest Toffolis, segments * (j + 1); the earliest candidate wins a tie
+    solved = [(got[0] * (j + 1), m, j, lam_t, *got)
+              for m, j, lam_t in _dyadic_candidates(lam_t_ideal)
+              if (got := solve(lam_t)) is not None]
+    if not solved:
+        raise ValueError(f"no dyadic angle admits a {mode} solution")
+    _, m, j, lam_t, segments, fields = min(solved, key=lambda s: s[0])
+    qubits = 0 if N is None else (
+        N + 2 * j + 2 * math.ceil(math.log2(segments + 1.0)) - 2)
+    return CostReport(
+        method=method,
+        toffoli_per_step=j + 1,
+        iterations=segments,
+        logical_qubits=qubits,
+        breakdown={"rotations": j - 1, "select": 2, "prepare": 0,
+                   "reflection": 0, "qrom": 0},
+        inputs=inputs,
+        extras={
+            "n_exp": n_ideal,
+            "n_exp_adjusted": segments,
+            **ideal,
+            **fields,
+            "lambda_t_ideal": lam_t_ideal,
+            "lambda_t": lam_t,
+            "angle_numerator": m,
+            "angle_log2_denominator": j,
+        },
+    )

@@ -301,6 +301,24 @@ def test_non_finite_input_rejected(runner, tmp_path, args):
     assert isinstance(result.exception, SystemExit), repr(result.exception)
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--lambda", "1e80", "--eps", "1e-3"], "lambda = 1e+80 outside"),
+    (["--lambda", "1e300", "--eps", "1e-300", "--mode", "hodges_lehmann"],
+     "lambda = 1e+300 outside"),
+    (["--lambda", "1e-300", "--eps", "1"], "lambda = 1e-300 outside"),
+    (["--lambda", "0.01", "--eps", "1"], "lambda/eps = 0.01 outside"),
+    (["--lambda", "2183.6", "--N", "-5"], "N must be an even"),
+    (["--lambda", "2183.6", "--N", "0"], "N must be an even"),
+], ids=["lambda-overflow", "hl-zero-division", "lambda-underflow",
+        "eps-above-lambda", "N-negative", "N-zero"])
+def test_qdrift_out_of_range_rejected(runner, args, message):
+    result = runner.invoke(main, ["cost", "--method", "qdrift", *args])
+    assert result.exit_code == 1, _text(result)
+    assert f"error: {message}" in _text(result)
+    assert "Traceback" not in _text(result)
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+
+
 def test_cost_missing_parameter(runner):
     result = runner.invoke(main, ["cost", "--method", "thc", "--N", "108"])
     assert result.exit_code == 1

@@ -298,8 +298,8 @@ def test_lambda_report_to_dict():
     assert set(payload) == {"method", "one_body", "two_body", "total", "provenance"}
 
 
-@pytest.mark.parametrize("kind", ["sparse", "sf", "df", "thc"])
-def test_rep_serialization_round_trip(tmp_path, kind):
+def _rep_of_kind(kind):
+    """One small representation of each kind, with the data it came from."""
     data, kin = _instance(3, 22)
     if kind == "sparse":
         rep, _ = fz.sparse_truncate(data, kin.Tprime, 0.1)
@@ -313,7 +313,12 @@ def test_rep_serialization_round_trip(tmp_path, kind):
         chi /= np.linalg.norm(chi, axis=0)
         zeta = rng.normal(size=(4, 4))
         rep = fz.THCRep(chi=chi, zeta=(zeta + zeta.T) / 2.0)
+    return rep, data
 
+
+@pytest.mark.parametrize("kind", ["sparse", "sf", "df", "thc"])
+def test_rep_serialization_round_trip(tmp_path, kind):
+    rep, data = _rep_of_kind(kind)
     path = tmp_path / f"{kind}.json"
     fz.save_rep(rep, path, lam=fz.lambda_report(rep, data))
     back = fz.load_rep(path)
@@ -332,6 +337,18 @@ def test_rep_serialization_round_trip(tmp_path, kind):
     else:
         assert np.array_equal(back.chi, rep.chi)
         assert np.array_equal(back.zeta, rep.zeta)
+
+
+@pytest.mark.parametrize("kind", ["sparse", "sf", "df", "thc"])
+def test_rep_equality_is_identity(kind):
+    # array fields make field-wise equality ambiguous; reps compare and hash
+    # by identity, so they can key a dict or sit in a set
+    rep, _ = _rep_of_kind(kind)
+    twin = fz.rep_from_dict(rep.to_dict())
+    assert rep == rep
+    assert rep != twin
+    assert hash(rep) == hash(rep)
+    assert len({rep, twin, rep}) == 2
 
 
 def test_rep_from_dict_rejects_unknown_kind():

@@ -1,10 +1,18 @@
+import json
 import math
+import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize
 
 from ftqc import qdrift
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_cosine_density_shape():
@@ -210,3 +218,106 @@ def test_cost_qdrift_validation():
             qdrift.cost_qdrift(lam=lam, eps=eps)
     with pytest.raises(ValueError, match="unknown mode"):
         qdrift.cost_qdrift(lam=1.0, eps=0.1, mode="median")
+    # each of these overflowed, divided by zero or took log(0) before
+    for lam, eps, mode, name in (
+        (1e80, 1e-3, "rms", "lambda"),
+        (1e300, 1e-300, "hodges_lehmann", "lambda"),
+        (1e-300, 1.0, "rms", "lambda"),
+        (1e40, 1e80, "confidence", "eps"),
+        (1.0, 1e-60, "rms", "eps"),
+        (1e30, 1e-30, "rms", "lambda/eps"),
+        (0.01, 1.0, "rms", "lambda/eps"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} = .* outside"):
+            qdrift.cost_qdrift(lam=lam, eps=eps, mode=mode)
+    for N in (-5, 0, 3):
+        for mode in ("rms", "hodges_lehmann"):
+            with pytest.raises(ValueError, match="N must be an even"):
+                qdrift.cost_qdrift(lam=2183.6, eps=0.0016, N=N, mode=mode)
+
+
+def test_cost_qdrift_accepts_range_edges():
+    assert qdrift.cost_qdrift(lam=1.0, eps=1.0, N=2).toffoli_per_step > 0
+    r = qdrift.cost_qdrift(lam=1e50, eps=1.0, N=2, mode="hodges_lehmann")
+    assert math.isfinite(r.toffoli_total) and r.logical_qubits > 2
+
+
+def test_hl_integrals_match_simpson():
+    grid = np.linspace(0.0, qdrift._GRID_MAX, qdrift._GRID_POINTS)
+    p = qdrift.cosine_density(grid)
+    for c in np.linspace(0.02, 0.995, 53):
+        q = np.minimum(p, c * qdrift.COSINE_PEAK)
+        i2 = 2.0 * integrate.simpson(q * q, x=grid)
+        i1 = 2.0 * integrate.simpson(p - q, x=grid)
+        got = qdrift._hl_integrals(float(c))
+        assert all(type(v) is float for v in got)
+        assert got == pytest.approx((i2, i1), rel=1e-11, abs=0.0)
+
+
+def test_ci_fixed_step_matches_loop_march():
+    # the march of 64 steps as a loop, the reference for the array version
+    def loop_root(alpha, kappa):
+        cdf = qdrift._cdf("kaiser-exact", alpha)
+        a0 = cdf.quantile(0.95)
+        a_max = cdf.quantile(cdf.frac[-1] * 0.999999)
+
+        def g(a):
+            return cdf.fraction(a) - 0.95 - kappa * a
+
+        prev, step = a0, (a_max - a0) / 64.0
+        a = a0 + step
+        while a < a_max:
+            if g(a) > 0:
+                return optimize.brentq(g, prev, a, xtol=1e-12)
+            prev = a
+            a += step
+        return None
+
+    for kappa in (0.002, 0.0095, 0.011, 0.02, 0.5):
+        res = optimize.minimize_scalar(
+            lambda alpha: loop_root(alpha, kappa) or 1e300,
+            bounds=(2.2, 4.2), method="bounded", options={"xatol": 2e-3},
+        )
+        a = loop_root(float(res.x), kappa)
+        want = None if a is None else (float(res.x), a)
+        assert qdrift._ci_at_fixed_step(kappa) == want
+
+
+_PARENT_REPORTS = json.loads(
+    (ROOT / "tests" / "data" / "qdrift_parent_reports.json").read_text())
+
+
+@pytest.mark.parametrize("case", _PARENT_REPORTS,
+                         ids=lambda c: f"{c['lambda']}-{c['eps']}-{c['mode']}")
+def test_cost_qdrift_pinned_reports(case):
+    # reports of the direct-quadrature implementation: rms and confidence
+    # unchanged to the bit, capped-density floats to summation order
+    got = qdrift.cost_qdrift(case["lambda"], case["eps"], N=case["N"],
+                             mode=case["mode"]).to_dict()
+    rel = 1e-10 if case["mode"] == "hodges_lehmann" else 0.0
+
+    def check(want, have, path):
+        if isinstance(want, dict):
+            assert want.keys() == have.keys(), path
+            for key in want:
+                check(want[key], have[key], f"{path}.{key}")
+        elif isinstance(want, float):
+            assert type(have) is float, path
+            assert have == pytest.approx(want, rel=rel, abs=0.0), path
+        else:
+            assert type(have) is type(want) and have == want, path
+
+    check(case["report"], {k: v for k, v in got.items() if k != "inputs"}, "")
+
+
+def test_import_leaves_tables_unbuilt():
+    code = ("import ftqc.cli, ftqc.qdrift as q; "
+            "print([f.cache_info().currsize for f in "
+            "(q._grid, q._cdf, q._hl_table, q._hl_peak)])")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0,", "0,", "0,", "0]"]
