@@ -233,8 +233,7 @@ def factorize(fcidump, method, threshold, target_l, tolerance, rank, starts,
     }
     sizes = rep.sizes()
     payload.update(sizes)
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    pathlib.Path(out_path).write_text(text)
+    factorizations.write_rep_json(payload, out_path)
     summary = " ".join(f"{k}={v}" for k, v in sizes.items())
     click.echo(f"{method}: {summary} lambda={report.total:.6g} -> {out_path}")
 

@@ -561,10 +561,14 @@ def rep_from_dict(payload: dict):
         raise ValueError(f"{kind} representation: {exc}") from None
 
 
-def save_rep(rep, path, lam: LambdaReport | None = None, metadata: dict | None = None):
+def write_rep_json(payload: dict, path) -> None:
+    """Write a rep file as compact sorted-key JSON, which CPython encodes in C."""
     with open(path, "w") as fh:
-        json.dump(rep_to_dict(rep, lam, metadata), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+
+
+def save_rep(rep, path, lam: LambdaReport | None = None, metadata: dict | None = None):
+    write_rep_json(rep_to_dict(rep, lam, metadata), path)
 
 
 def load_rep(path):

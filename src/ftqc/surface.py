@@ -205,18 +205,18 @@ def layout_estimate(report: CostReport | None = None, *,
         return _assemble(distance, data_tiles, count, lq, assumptions)
     if tiles is None or toffoli is None:
         raise ValueError("need either a cost report or tiles and toffoli")
-    distance = 3
-    lq = 0.0
-    for _ in range(10):
-        ftiles = factory_tiles(distance, assumptions) if toffoli else 0
+    # Odd distances up to 51 repeat within 25 steps; a cycle's largest is feasible.
+    seen = [3]
+    while True:
+        ftiles = factory_tiles(seen[-1], assumptions) if toffoli else 0
         data_tiles = tiles - ftiles
         if data_tiles <= 0:
             raise ValueError("tile budget smaller than the factory footprint")
-        lq = data_tiles / 1.5
-        new_distance = choose_distance(lq, toffoli, assumptions)
-        if new_distance == distance:
+        new_distance = choose_distance(data_tiles / 1.5, toffoli, assumptions)
+        if new_distance in seen:
+            distance = max(seen[seen.index(new_distance):])
             break
-        distance = new_distance
+        seen.append(new_distance)
     ftiles = factory_tiles(distance, assumptions) if toffoli else 0
     data_tiles = tiles - ftiles
     lq = data_tiles / 1.5

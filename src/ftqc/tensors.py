@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import warnings
+from operator import methodcaller
 
 import numpy as np
 
@@ -34,16 +36,21 @@ EIGHTFOLD_PERMUTATIONS = (
 )
 
 
+def _eightfold_mean(V: np.ndarray, p) -> np.ndarray:
+    """Slab [p] of :func:`symmetrize_eightfold` (p = ... for all), in one buffer."""
+    out = V[p].copy()
+    for perm in EIGHTFOLD_PERMUTATIONS[1:]:
+        np.add(out, V.transpose(perm)[p], out=out)
+    out /= 8.0
+    return out
+
+
 def symmetrize_eightfold(V: np.ndarray) -> np.ndarray:
     """Average a 4-index tensor over the 8-fold permutation group.
 
     Idempotent: applying it to an already symmetric tensor is the identity.
     """
-    V = np.asarray(V, dtype=float)
-    out = V
-    for perm in EIGHTFOLD_PERMUTATIONS[1:]:
-        out = out + V.transpose(perm)
-    return out / 8.0
+    return _eightfold_mean(np.asarray(V, dtype=float), ...)
 
 
 def unique_orbits(n: int) -> np.ndarray:
@@ -108,7 +115,8 @@ class IntegralData:
         dev = float(np.max(np.abs(h - h.T))) if h.size else 0.0
         if dev > SYMMETRY_ATOL:
             raise ValueError(f"h is not symmetric (max deviation {dev:.3e})")
-        dev = float(np.max(np.abs(V - symmetrize_eightfold(V))))
+        # max |V - symmetrize_eightfold(V)|, a slab at a time
+        dev = float(max(np.abs(V[p] - _eightfold_mean(V, p)).max() for p in range(n)))
         if dev > SYMMETRY_ATOL:
             raise ValueError(
                 f"V violates 8-fold permutational symmetry (max deviation {dev:.3e})"
@@ -192,15 +200,18 @@ def random_instance(
     return IntegralData(h=h, V=V, e_core=float(rng.normal()))
 
 
-def _parse_header(lines: list[str]):
-    """Parse the namelist header, returning (metadata, first body line index)."""
-    if lines and not lines[0].strip().upper().startswith("&FCI"):
-        raise ValueError("missing &FCI header on line 1")
-    body_start = next((i + 1 for i, line in enumerate(lines)
-                       if line.strip().upper().endswith(("&END", "/"))), None)
-    if body_start is None:
+def _read_header(lines) -> tuple[int, int]:
+    """NORB and the line count of the namelist header, read from lines."""
+    header: list[str] = []
+    for line in lines:
+        header.append(line.strip())
+        if not header[0].upper().startswith("&FCI"):
+            raise ValueError("missing &FCI header on line 1")
+        if header[-1].upper().endswith(("&END", "/")):
+            break
+    else:
         raise ValueError("header never terminated with &END or /")
-    text = " ".join(line.strip() for line in lines[:body_start])
+    text = " ".join(header)
     for terminator in ("&END", "&end", "/"):
         text = text.removesuffix(terminator)
     text = text[text.upper().index("&FCI") + 4:]
@@ -213,7 +224,9 @@ def _parse_header(lines: list[str]):
             continue
     if "NORB" not in meta:
         raise ValueError("header does not define NORB")
-    return meta, body_start
+    if meta["NORB"] < 1:
+        raise ValueError(f"NORB must be positive, got {meta['NORB']}")
+    return meta["NORB"], len(header)
 
 
 def _parse_record(parts: list[str], n: int):
@@ -235,15 +248,11 @@ def _parse_record(parts: list[str], n: int):
 
 
 def _parse_fcidump(path):
-    """NORB and the records of an FCIDUMP file up to its first malformed line:
-    (n, values, indices, line numbers, the fault or None)."""
+    """NORB and the records of an FCIDUMP file up to its first malformed line,
+    line by line: (n, values, indices, line numbers, the fault or None)."""
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    meta, body_start = _parse_header(lines)
-    n = meta["NORB"]
-    if n < 1:
-        raise ValueError(f"NORB must be positive, got {n}")
-    body = lines[body_start:]
+        n, body_start = _read_header(fh)
+        body = fh.readlines()
     values = np.empty(len(body))
     idx = np.empty((len(body), 4), dtype=np.int32)
     linenos = np.empty(len(body), dtype=np.intp)
@@ -262,6 +271,32 @@ def _parse_fcidump(path):
     return n, values[:count], idx[:count], linenos[:count], fault
 
 
+def _load_records(path):
+    """:func:`_parse_fcidump`'s result for a well-formed file, without line
+    numbers, by one streamed loadtxt (a retry maps Fortran exponents, which
+    costs a third of a parse); None for a fault or a spelling only float() reads."""
+    for fortran in (False, True):
+        try:
+            with open(path) as fh, warnings.catch_warnings():
+                n, _ = _read_header(fh)
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                # 1.5D-1 -> 1.5e-1 on the retry; an index 1D0 -> 1e0 stays invalid
+                for d in "Dd" if fortran else "":
+                    fh = map(methodcaller("replace", d, "e"), fh)
+                records = np.loadtxt(fh, dtype=[("value", "f8"), ("idx", "i4", (4,))],
+                                     comments=None, ndmin=1)
+            break
+        except ValueError:
+            pass
+    else:
+        return None
+    idx = records["idx"]
+    # zero slots as bits i j k l = 8 4 2 1: none, k l (one-body) or all (core)
+    zeros = (idx == 0) @ np.array([8, 4, 2, 1])
+    ok = ((idx >= 0) & (idx <= n)).all() and np.isin(zeros, (0, 3, 15)).all()
+    return (n, records["value"], idx, None, None) if ok else None
+
+
 def load_fcidump(path) -> IntegralData:
     """Read integrals from an FCIDUMP-format text file.
 
@@ -273,7 +308,7 @@ def load_fcidump(path) -> IntegralData:
     wins.  The earliest malformed, out-of-range or conflicting line is
     reported by number.
     """
-    n, values, idx, linenos, fault = _parse_fcidump(path)
+    n, values, idx, linenos, fault = _load_records(path) or _parse_fcidump(path)
     # With 0 in the unused slots, one-body pairs and the core record are
     # orbits too, so one key covers all three record kinds; the stable sort
     # keeps each orbit's records in line order.
@@ -285,6 +320,8 @@ def load_fcidump(path) -> IntegralData:
         first = bad.min()
         i, _, k, _ = idx[first]
         kind = "core-energy" if i == 0 else "one-body" if k == 0 else "two-body"
+        if linenos is None:  # the per-line parse gives the same records
+            linenos = _parse_fcidump(path)[3]
         raise ValueError(f"line {linenos[first]}: conflicting {kind} records")
     if fault is not None:
         raise ValueError(fault)

@@ -218,6 +218,22 @@ def test_cost_from_reps(runner, rep_dir):
     assert len(json.loads(result.output)["reports"]) == 1
 
 
+def test_cost_from_reps_reads_indented_files(runner, rep_dir):
+    # rep files are compact JSON; files written with indent=2 cost the same
+    args = ["cost", "--method", "all", "--from-reps", str(rep_dir)]
+    compact = runner.invoke(main, args)
+    assert compact.exit_code == 0, _text(compact)
+    for path in rep_dir.glob("*.json"):
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        path.write_text(json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n")
+    indented = runner.invoke(main, args)
+    assert indented.exit_code == 0, _text(indented)
+    before, after = json.loads(compact.output), json.loads(indented.output)
+    assert before.pop("input_hash") != after.pop("input_hash")
+    assert before == after
+
+
 @pytest.mark.parametrize("method", sorted(_FACTORIZE_ARGS))
 def test_cost_from_reps_matches_flag_path(runner, rep_dir, method):
     saved = json.loads((rep_dir / f"{method}.json").read_text())

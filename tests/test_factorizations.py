@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -337,6 +339,18 @@ def test_rep_serialization_round_trip(tmp_path, kind):
     else:
         assert np.array_equal(back.chi, rep.chi)
         assert np.array_equal(back.zeta, rep.zeta)
+
+
+def test_save_rep_writes_compact_json_and_reads_indented(tmp_path):
+    # one rep-file encoding, shared with the factorize command; files
+    # written with indent=2 still load
+    rep, data = _rep_of_kind("df")
+    path = tmp_path / "df.json"
+    fz.save_rep(rep, path, lam=fz.lambda_report(rep, data))
+    payload = fz.rep_to_dict(rep, fz.lambda_report(rep, data))
+    assert path.read_text() == json.dumps(payload, sort_keys=True) + "\n"
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2))
+    assert fz.load_rep(path).to_dict() == rep.to_dict()
 
 
 @pytest.mark.parametrize("kind", ["sparse", "sf", "df", "thc"])

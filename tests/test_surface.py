@@ -112,6 +112,22 @@ def test_layout_error_rate_ratios():
     assert em4.runtime_seconds / em3.runtime_seconds == pytest.approx(15.0 / 31.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("tiles,toffoli,distance", [
+    (231.592213187732, 286831.6813342009, 19),
+    (231.592213187732, 27585316.176291868, 23),
+    (246.86737601922957, 10811807510.766077, 29),
+])
+def test_layout_tile_budget_two_cycle_takes_larger_distance(tiles, toffoli, distance):
+    # At these budgets the distance alternates between two values, and only
+    # the larger keeps the data error within half the budget.
+    a = PhysicalAssumptions(phys_error_rate=1e-3)
+    est = surface.layout_estimate(tiles=tiles, toffoli=toffoli, assumptions=a)
+    assert est.data_distance == distance
+    assert est.logical_error_total <= a.total_error_budget / 2
+    smaller = surface.factory_tiles(distance - 2, a)
+    assert surface.choose_distance((tiles - smaller) / 1.5, toffoli, a) == distance
+
+
 def test_layout_validation():
     with pytest.raises(ValueError, match="need either a cost report or tiles and toffoli"):
         surface.layout_estimate()

@@ -1,3 +1,6 @@
+import random
+import warnings
+
 import numpy as np
 import pytest
 
@@ -215,9 +218,12 @@ def test_fcidump_header_variants(tmp_path):
 
 def test_fcidump_without_records(tmp_path):
     path = tmp_path / "fcid"
-    path.write_text("&FCI NORB=2\n&END\n\n")
-    data = tensors.load_fcidump(path)
-    assert not data.h.any() and not data.V.any() and data.e_core == 0.0
+    for body in ("", "\n", " \t\n"):
+        path.write_text("&FCI NORB=2\n&END\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt's "no data" stays quiet
+            data = tensors.load_fcidump(path)
+        assert not data.h.any() and not data.V.any() and data.e_core == 0.0
 
 
 def test_fcidump_populates_all_eight_images(tmp_path):
@@ -293,3 +299,92 @@ def test_fcidump_duplicate_keeps_later_value(tmp_path, first, second):
     assert all(data.V[idx] == later for idx in _images(0, 1, 0, 0))
     assert data.h[0, 1] == data.h[1, 0] == later
     assert data.e_core == later
+
+
+def test_symmetry_check_matches_whole_tensor_sum():
+    # the slab-wise sum keeps the order of the whole-tensor one, bitwise
+    rng = np.random.default_rng(4)
+    V = tensors.random_instance(4, seed=2).V + 1e-9 * rng.normal(size=(4,) * 4)
+    total = V
+    for perm in tensors.EIGHTFOLD_PERMUTATIONS[1:]:
+        total = total + V.transpose(perm)
+    assert np.array_equal(tensors.symmetrize_eightfold(V), total / 8.0)
+    dev = np.max(np.abs(V - total / 8.0))
+    with pytest.raises(ValueError, match=f"max deviation {dev:.3e}"):
+        tensors.IntegralData(h=np.eye(4), V=V)
+
+
+def _random_fcidump(rng: random.Random):
+    """A small FCIDUMP in the spellings files use, and whether it may hold a
+    malformed line (a well-formed one may still hold conflicting records).
+    Odd tokens are rare in a file, so most faulty files hold one fault."""
+    n = rng.randint(1, 4)
+    odd = rng.choice([0.0, 0.0, 0.03, 0.1])
+
+    def value():
+        if rng.random() < odd:
+            return rng.choice(["1_0", "x", "#"])
+        v = float(rng.choice(["0.5", "-0.25", "1.0", "0.125", "1.00000000005"]))
+        return rng.choice([repr(v), f"{v:.3e}", f"{v:.3E}", f"{v:.3e}".replace("e", "D"),
+                           f"{v:.3e}".replace("e", "d"), "5.", ".5"])
+
+    def index():
+        i = str(rng.randint(1, n))
+        if rng.random() < odd:
+            return rng.choice(["1.0", "-1", str(n + 1), "2147483648", "99999999999",
+                               "1_0", "1d0"])
+        return rng.choice([i, i, "0" + i, "+" + i])
+
+    lines = []
+    for _ in range(rng.randint(0, 8)):
+        kind = rng.random()
+        if kind < 0.45:
+            idx = [index() for _ in range(4)]
+        elif kind < 0.7:
+            idx = [index(), index(), "0", "0"]
+        elif kind < 0.8 or not odd:
+            idx = ["0"] * 4
+        else:  # any zero pattern, mixed ones included
+            idx = [index() if rng.random() < 0.5 else "0" for _ in range(4)]
+        tokens = [value()] + idx
+        if rng.random() < odd:  # 4 or 6 tokens
+            tokens = tokens[:4] if rng.random() < 0.5 else tokens + ["1"]
+        lines.append(rng.choice(["", " "]) + rng.choice([" ", "\t", "  "]).join(tokens))
+        if rng.random() < 0.3:  # a duplicate, the same or conflicting
+            i, j, k, l = (rng.randint(1, n) for _ in range(4))
+            lines += [f"0.5 {i} {j} {k} {l}", f"{rng.choice(['0.5'] * 3 + ['0.75'])} {k} {l} {j} {i}"]
+        if rng.random() < 0.08:
+            lines.append(rng.choice(["", "  ", "\t"] + ["# comment"] * (odd > 0)))
+    header = rng.choice([f"&FCI NORB={n},NELEC=2,MS2=0,\n&END", f"&FCI norb={n}\n/"])
+    return rng.choice(["\n", "\r\n"]).join([*header.split("\n"), *lines, ""]), odd > 0
+
+
+def _outcome(path):
+    try:
+        data = tensors.load_fcidump(path)
+    except ValueError as exc:
+        return str(exc)
+    return data.h.tobytes(), data.V.tobytes(), data.e_core
+
+
+def test_fcidump_bulk_parse_matches_per_line_reference(tmp_path, monkeypatch):
+    rng = random.Random(2024)
+    path = tmp_path / "fcid"
+    bulk = outcomes = 0
+    # every zero pattern of one record, then seeded random files
+    patterns = [" ".join("0" if mask >> b & 1 else "2" for b in range(4))
+                for mask in range(16)]
+    files = [(f"&FCI NORB=2\n&END\n0.5 {p}\n", True) for p in patterns]
+    for text, faulty in files + [_random_fcidump(rng) for _ in range(300)]:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        accepted = tensors._load_records(path) is not None
+        assert accepted or faulty  # every well-formed spelling takes the bulk path
+        bulk += accepted
+        fast = _outcome(path)
+        with monkeypatch.context() as m:
+            m.setattr(tensors, "_load_records", lambda path: None)
+            assert _outcome(path) == fast
+        outcomes += isinstance(fast, tuple)
+    # both paths and both outcomes are exercised
+    assert 60 < bulk < 240 and 60 < outcomes < 240
