@@ -5,158 +5,9 @@ or hypercontracted forms, and costed: 1-norms, Toffoli counts, logical
 qubit counts, randomized-compilation alternatives, and a surface-code
 physical layer.  Small instances can be verified exactly against dense
 many-body spectra.
+
+The library is used by submodule (``from ftqc import costs, tensors``); the
+package itself re-exports nothing.
 """
 
-from .costs import (
-    CostParams,
-    CostReport,
-    contiguous_register_cost,
-    cost_df,
-    cost_sf,
-    cost_sparse,
-    cost_thc,
-    iterations,
-    minimize_over_k,
-    qrom_cost,
-    qrom_erase_cost,
-    qrom_two_register_cost,
-    qrom_two_register_erase_cost,
-)
-from .factorizations import (
-    DFRep,
-    EncodedOperator,
-    LambdaReport,
-    SFRep,
-    SparseRep,
-    THCRep,
-    double_factorize,
-    lambda_report,
-    load_rep,
-    reconstruction_errors,
-    rep_from_dict,
-    rep_to_dict,
-    save_rep,
-    single_factorize,
-    sparse_truncate,
-    thc_reconstruct,
-)
-from .qdrift import (
-    ci_optimize,
-    cosine_density,
-    cost_qdrift,
-    hl_optimize,
-    kaiser_optimum,
-    window_interval,
-)
-from .surface import (
-    PhysicalAssumptions,
-    PhysicalEstimate,
-    choose_distance,
-    factory_distances,
-    factory_period,
-    factory_tiles,
-    layout_estimate,
-    logical_error_rate,
-    tile_qubits,
-    toffoli_interval,
-)
-from .tensors import (
-    IntegralData,
-    KineticCorrected,
-    compute_T,
-    count_unique_above,
-    dense_unique_count,
-    load_fcidump,
-    random_instance,
-    symmetrize_eightfold,
-    write_fcidump,
-)
-from .thc import (
-    FitConfig,
-    FitResult,
-    QuantizedTHC,
-    angles_from_chi,
-    chi_from_angles,
-    quantize,
-    thc_fit,
-    thc_gradient,
-    thc_objective,
-)
-from .verify import (
-    FockMatrix,
-    build_exact_hamiltonian,
-    lambda_bounds_spectrum,
-    simulate_contiguous_schedule,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CostParams",
-    "CostReport",
-    "DFRep",
-    "EncodedOperator",
-    "FitConfig",
-    "FitResult",
-    "FockMatrix",
-    "IntegralData",
-    "KineticCorrected",
-    "LambdaReport",
-    "PhysicalAssumptions",
-    "PhysicalEstimate",
-    "QuantizedTHC",
-    "SFRep",
-    "SparseRep",
-    "THCRep",
-    "angles_from_chi",
-    "build_exact_hamiltonian",
-    "chi_from_angles",
-    "choose_distance",
-    "ci_optimize",
-    "compute_T",
-    "contiguous_register_cost",
-    "cosine_density",
-    "cost_df",
-    "cost_qdrift",
-    "cost_sf",
-    "cost_sparse",
-    "cost_thc",
-    "count_unique_above",
-    "dense_unique_count",
-    "double_factorize",
-    "factory_distances",
-    "factory_period",
-    "factory_tiles",
-    "hl_optimize",
-    "iterations",
-    "kaiser_optimum",
-    "lambda_bounds_spectrum",
-    "lambda_report",
-    "layout_estimate",
-    "load_fcidump",
-    "load_rep",
-    "logical_error_rate",
-    "minimize_over_k",
-    "qrom_cost",
-    "qrom_erase_cost",
-    "qrom_two_register_cost",
-    "qrom_two_register_erase_cost",
-    "quantize",
-    "random_instance",
-    "reconstruction_errors",
-    "rep_from_dict",
-    "rep_to_dict",
-    "save_rep",
-    "simulate_contiguous_schedule",
-    "single_factorize",
-    "sparse_truncate",
-    "symmetrize_eightfold",
-    "thc_fit",
-    "thc_gradient",
-    "thc_objective",
-    "thc_reconstruct",
-    "tile_qubits",
-    "toffoli_interval",
-    "window_interval",
-    "write_fcidump",
-]

@@ -1,10 +1,12 @@
 """Batch front-end: ingestion, factorization, costing, layout, verification.
 
 Each command resolves its parameters from an optional flat key=value config
-file plus command-line flags (flags win), embeds the resolved configuration
-and an input content hash into its report, and emits JSON (full precision),
-csv, or an aligned table (4 significant digits).  Exit codes: 0 ok, 1
-domain error, 2 usage error.
+file plus command-line flags (flags win; each click parameter's name is its
+config key), embeds the resolved configuration and an input content hash
+into its report, and emits JSON (full precision), csv, or an aligned table
+(4 significant digits).  Exit codes: 0 ok, 1 domain error, 2 usage error.
+The representation kinds, their factorize flags and their cost models come
+from :data:`ftqc.factorizations.REP_KINDS`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 import click
 import numpy as np
 
-from . import costs, factorizations, qdrift, surface, tensors, thc, verify
+from . import costs, factorizations, qdrift, surface, tensors, verify
 
 SCHEMA_VERSION = 1
 
@@ -153,77 +155,53 @@ def main():
     """Resource estimation toolkit for simulating chemistry Hamiltonians."""
 
 
+def _factorize_options(command):
+    """One flag per option the rep kinds declare, in first-declared order."""
+    options = {}
+    for kind in factorizations.REP_KINDS.values():
+        for name, option in kind.options.items():
+            options.setdefault(name, option)
+    for name, option in reversed(options.items()):
+        command = click.option(f"--{name.replace('_', '-')}", type=option.cast)(command)
+    return command
+
+
 @main.command()
-@click.argument("fcidump", type=click.Path(exists=True, dir_okay=False),
-                required=False)
-@click.option("--method", type=click.Choice(["sparse", "sf", "df", "thc"]),
-              default=None)
-@click.option("--threshold", type=float, default=None)
-@click.option("--target-l", "target_l", type=int, default=None)
-@click.option("--tolerance", type=float, default=None)
-@click.option("--rank", type=int, default=None)
-@click.option("--starts", type=int, default=None)
-@click.option("--seed", type=int, default=None)
+@click.argument("input", type=click.Path(exists=True, dir_okay=False),
+                required=False, metavar="[FCIDUMP]")
+@click.option("--method", type=click.Choice(list(factorizations.REP_KINDS)))
+@_factorize_options
 @click.option("--config", "config_path",
-              type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--output", "-o", type=click.Path(), default=None)
-def factorize(fcidump, method, threshold, target_l, tolerance, rank, starts,
-              seed, config_path, output):
+              type=click.Path(exists=True, dir_okay=False))
+@click.option("--output", "-o", type=click.Path())
+def factorize(config_path, **flags):
     """Factor an FCIDUMP into a serialized representation with its norms."""
-    merged = _merge(_read_config_file(config_path), {
-        "input": fcidump, "method": method, "threshold": threshold,
-        "target_l": target_l, "tolerance": tolerance, "rank": rank,
-        "starts": starts, "seed": seed, "output": output,
-    })
+    merged = _merge(_read_config_file(config_path), flags)
     path = _get(merged, "input", str, required=True)
     method = _get(merged, "method", str, required=True)
     out_path = _get(merged, "output", str, default=f"{method}.json")
+    kind = factorizations.REP_KINDS.get(method)
+    if kind is None:
+        _fail(f"unknown method {method!r}")
+    options = {}
+    for name, option in kind.options.items():
+        options[name] = _get(merged, name, option.cast, option.default)
+        if option.required and options[name] is None:
+            _fail(f"method {method} needs --{name.replace('_', '-')}")
 
     try:
         data = tensors.load_fcidump(path)
     except (ValueError, OSError) as exc:
         _fail(str(exc))
     kin = tensors.compute_T(data)
-
-    params: dict = {}
     try:
-        if method == "sparse":
-            thr = _get(merged, "threshold", float, required=True)
-            rep, report = factorizations.sparse_truncate(data, kin.Tprime, thr)
-            params = {"threshold": thr}
-        elif method == "sf":
-            tl = _get(merged, "target_l", int)
-            tol = _get(merged, "tolerance", float)
-            rep = factorizations.single_factorize(data, target_L=tl,
-                                                  tolerance=tol)
-            report = factorizations.lambda_report(rep, data)
-            params = {"target_l": tl, "tolerance": tol}
-        elif method == "df":
-            thr = _get(merged, "threshold", float, required=True)
-            tl = _get(merged, "target_l", int)
-            sf = factorizations.single_factorize(data, target_L=tl)
-            rep = factorizations.double_factorize(sf, thr)
-            report = factorizations.lambda_report(rep, data)
-            params = {"threshold": thr, "target_l": tl}
-        else:
-            rk = _get(merged, "rank", int)
-            if rk is None:
-                _fail("method thc needs --rank")
-            n_starts = _get(merged, "starts", int, default=20)
-            seed_val = _get(merged, "seed", int, default=0)
-            fit = thc.thc_fit(
-                data.V, rk,
-                thc.FitConfig(n_starts=n_starts, seed=seed_val),
-            )
-            rep = fit.rep
-            report = factorizations.lambda_report(rep, data)
-            params = {"rank": rk, "starts": n_starts, "seed": seed_val,
-                      "objective": fit.objective, "restart": fit.restart}
+        rep, extra_params = kind.factorize(data, kin.Tprime, **options)
+        report = rep.lambda_report(kin.Tprime)
     except ValueError as exc:
         _fail(str(exc))
 
     config = RunConfig("factorize", method=method, input=path,
-                       output=out_path, params=params)
+                       output=out_path, params={**options, **extra_params})
     payload = {
         "schema": SCHEMA_VERSION,
         "config": config.resolved(),
@@ -237,13 +215,6 @@ def factorize(fcidump, method, threshold, target_l, tolerance, rank, starts,
     summary = " ".join(f"{k}={v}" for k, v in sizes.items())
     click.echo(f"{method}: {summary} lambda={report.total:.6g} -> {out_path}")
 
-
-_LCU_COSTERS = {
-    "sparse": costs.cost_sparse,
-    "sf": costs.cost_sf,
-    "df": costs.cost_df,
-    "thc": costs.cost_thc,
-}
 
 _REPORT_COLUMNS = ["method", "lambda", "toffoli_per_step", "iterations",
                    "toffoli_total", "logical_qubits"]
@@ -296,43 +267,30 @@ def _read_rep_file(path: pathlib.Path):
 
 @main.command()
 @click.option("--method",
-              type=click.Choice(["sparse", "sf", "df", "thc", "qdrift", "all"]),
-              default=None)
-@click.option("--N", "n_qubits", type=int, default=None)
-@click.option("--M", "rank_m", type=int, default=None)
-@click.option("--L", "rank_l", type=int, default=None)
-@click.option("--d", "coeff_count", type=int, default=None)
-@click.option("--xi-total", type=int, default=None)
-@click.option("--xi-max", type=int, default=None)
-@click.option("--lambda", "lam", type=float, default=None)
-@click.option("--eps-pea", type=float, default=None)
-@click.option("--eps", type=float, default=None)
-@click.option("--aleph", type=int, default=None)
-@click.option("--aleph1", type=int, default=None)
-@click.option("--aleph2", type=int, default=None)
-@click.option("--beth", type=int, default=None)
-@click.option("--br", type=int, default=None)
-@click.option("--mode",
-              type=click.Choice(["rms", "confidence", "hodges_lehmann"]),
-              default=None)
-@click.option("--from-reps", "from_reps",
-              type=click.Path(exists=True, file_okay=False), default=None)
+              type=click.Choice([*factorizations.REP_KINDS, "qdrift", "all"]))
+@click.option("--N", type=int)
+@click.option("--M", type=int)
+@click.option("--L", type=int)
+@click.option("--d", type=int)
+@click.option("--xi-total", type=int)
+@click.option("--xi-max", type=int)
+@click.option("--lambda", type=float)
+@click.option("--eps-pea", type=float)
+@click.option("--eps", type=float)
+@click.option("--aleph", type=int)
+@click.option("--aleph1", type=int)
+@click.option("--aleph2", type=int)
+@click.option("--beth", type=int)
+@click.option("--br", type=int)
+@click.option("--mode", type=click.Choice(["rms", "confidence", "hodges_lehmann"]))
+@click.option("--from-reps", type=click.Path(exists=True, file_okay=False))
 @click.option("--config", "config_path",
-              type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv", "table"]),
-              default=None)
-@click.option("--output", "-o", type=click.Path(), default=None)
-def cost(method, n_qubits, rank_m, rank_l, coeff_count, xi_total, xi_max, lam,
-         eps_pea, eps, aleph, aleph1, aleph2, beth, br, mode, from_reps,
-         config_path, fmt, output):
+              type=click.Path(exists=True, dir_okay=False))
+@click.option("--format", type=click.Choice(["json", "csv", "table"]))
+@click.option("--output", "-o", type=click.Path())
+def cost(config_path, **flags):
     """Toffoli and logical-qubit estimate for a factored Hamiltonian."""
-    merged = _merge(_read_config_file(config_path), {
-        "method": method, "n": n_qubits, "m": rank_m, "l": rank_l,
-        "d": coeff_count, "xi_total": xi_total, "xi_max": xi_max,
-        "lambda": lam, "eps_pea": eps_pea, "eps": eps, "aleph": aleph,
-        "aleph1": aleph1, "aleph2": aleph2, "beth": beth, "br": br,
-        "mode": mode, "from_reps": from_reps, "format": fmt, "output": output,
-    })
+    merged = _merge(_read_config_file(config_path), flags)
     method = _get(merged, "method", str, required=True)
     fmt = _get(merged, "format", str, default="json")
     output = _get(merged, "output", str)
@@ -357,7 +315,7 @@ def cost(method, n_qubits, rank_m, rank_l, coeff_count, xi_total, xi_max, lam,
                 hasher.update(f.read_bytes())
                 params = _cost_params(merged, 2 * rep.n_spatial, lam_total,
                                       rep.sizes())
-                reports.append(_LCU_COSTERS[rep.kind](params))
+                reports.append(rep.cost(params))
             input_hash = hasher.hexdigest()
             input_name = from_reps
             if not reports:
@@ -369,13 +327,13 @@ def cost(method, n_qubits, rank_m, rank_l, coeff_count, xi_total, xi_max, lam,
             n_val = _get(merged, "n", int)
             reports.append(qdrift.cost_qdrift(lam_val, eps_val, N=n_val,
                                               mode=mode_val))
-        elif method in _LCU_COSTERS:
+        elif method in factorizations.REP_KINDS:
+            kind = factorizations.REP_KINDS[method]
             n_val = _get(merged, "n", int, required=True)
             lam_val = _get(merged, "lambda", float, required=True)
             sizes = {field: _get(merged, field.lower(), int, required=True)
-                     for field in factorizations.REP_KINDS[method].size_fields}
-            reports.append(_LCU_COSTERS[method](
-                _cost_params(merged, n_val, lam_val, sizes)))
+                     for field in kind.size_fields}
+            reports.append(kind.cost(_cost_params(merged, n_val, lam_val, sizes)))
         else:
             _fail("method all needs --from-reps")
     except ValueError as exc:
@@ -397,31 +355,22 @@ def cost(method, n_qubits, rank_m, rank_l, coeff_count, xi_total, xi_max, lam,
 
 
 @main.command()
-@click.option("--toffoli", type=float, default=None)
-@click.option("--tiles", type=float, default=None)
-@click.option("--logical-qubits", type=float, default=None)
-@click.option("--p", "phys_error", type=float, default=None)
-@click.option("--cycle-time", type=float, default=None)
-@click.option("--reaction-time", type=float, default=None)
-@click.option("--budget", type=float, default=None)
-@click.option("--factories", type=int, default=None)
-@click.option("--factory-rate", type=float, default=None)
+@click.option("--toffoli", type=float)
+@click.option("--tiles", type=float)
+@click.option("--logical-qubits", type=float)
+@click.option("--p", type=float)
+@click.option("--cycle-time", type=float)
+@click.option("--reaction-time", type=float)
+@click.option("--budget", type=float)
+@click.option("--factories", type=int)
+@click.option("--factory-rate", type=float)
 @click.option("--config", "config_path",
-              type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv", "table"]),
-              default=None)
-@click.option("--output", "-o", type=click.Path(), default=None)
-def layout(toffoli, tiles, logical_qubits, phys_error, cycle_time,
-           reaction_time, budget, factories, factory_rate, config_path, fmt,
-           output):
+              type=click.Path(exists=True, dir_okay=False))
+@click.option("--format", type=click.Choice(["json", "csv", "table"]))
+@click.option("--output", "-o", type=click.Path())
+def layout(config_path, **flags):
     """Physical qubits and wall-clock time for a Toffoli workload."""
-    merged = _merge(_read_config_file(config_path), {
-        "toffoli": toffoli, "tiles": tiles, "logical_qubits": logical_qubits,
-        "p": phys_error, "cycle_time": cycle_time,
-        "reaction_time": reaction_time, "budget": budget,
-        "factories": factories, "factory_rate": factory_rate,
-        "format": fmt, "output": output,
-    })
+    merged = _merge(_read_config_file(config_path), flags)
     fmt = _get(merged, "format", str, default="json")
     output = _get(merged, "output", str)
     count = _get(merged, "toffoli", float, required=True)
@@ -499,7 +448,7 @@ def _suite_spectrum(seed: int, inject: bool) -> list[dict]:
     return checks
 
 
-def _suite_contiguous(inject: bool) -> list[dict]:
+def _suite_contiguous(seed: int, inject: bool) -> list[dict]:
     checks = []
     for n in range(2, 9):
         count, correct = verify.simulate_contiguous_schedule(n)
@@ -514,52 +463,40 @@ def _suite_contiguous(inject: bool) -> list[dict]:
 
 
 def _suite_reconstruction(seed: int, inject: bool) -> list[dict]:
-    checks = []
     data = tensors.random_instance(3, seed=seed)
     target = data.V.copy()
     if inject:
         target[0, 0, 0, 0] += 1.0
-    kin = tensors.compute_T(data)
-
-    sparse_rep, _ = factorizations.sparse_truncate(data, kin.Tprime, 0.0)
-    err = np.max(np.abs(sparse_rep.dense() - target))
     note = " (injected: reference perturbed)" if inject else ""
-    checks.append({"name": f"reconstruction sparse{note}",
-                   "ok": bool(err <= 1e-10), "detail": f"max_abs={err:.3e}"})
-
+    kin = tensors.compute_T(data)
     sf = factorizations.single_factorize(data)
-    err = np.max(np.abs(sf.reconstruct() - target))
-    checks.append({"name": f"reconstruction sf{note}",
-                   "ok": bool(err <= 1e-8), "detail": f"max_abs={err:.3e}"})
-
-    df = factorizations.double_factorize(sf, 0.0)
-    err = np.max(np.abs(df.reconstruct() - target))
-    checks.append({"name": f"reconstruction df{note}",
-                   "ok": bool(err <= 1e-8), "detail": f"max_abs={err:.3e}"})
+    checks = []
+    for rep, atol in ((factorizations.sparse_truncate(data, kin.Tprime, 0.0)[0], 1e-10),
+                      (sf, 1e-8),
+                      (factorizations.double_factorize(sf, 0.0), 1e-8)):
+        err = np.max(np.abs(rep.encoded_terms(kin.Tprime).two_body - target))
+        checks.append({"name": f"reconstruction {rep.kind}{note}",
+                       "ok": bool(err <= atol), "detail": f"max_abs={err:.3e}"})
     return checks
 
 
+_SUITES = {"spectrum": _suite_spectrum, "contiguous": _suite_contiguous,
+           "reconstruction": _suite_reconstruction}
+
+
 @main.command("verify")
-@click.option("--suite", "suites", multiple=True,
-              type=click.Choice(["spectrum", "contiguous", "reconstruction"]))
+@click.option("--suite", "suites", multiple=True, type=click.Choice(list(_SUITES)))
 @click.option("--all", "run_all", is_flag=True, default=False)
 @click.option("--seed", type=int, default=0)
 @click.option("--inject-failure", is_flag=True, default=False)
 def verify_cmd(suites, run_all, seed, inject_failure):
     """Run oracle suites; exits 1 if any check fails."""
-    selected = list(suites)
-    if run_all:
-        selected = ["spectrum", "contiguous", "reconstruction"]
+    selected = list(_SUITES) if run_all else suites
     if not selected:
         _fail("choose --suite or --all")
     checks: list[dict] = []
     for name in selected:
-        if name == "spectrum":
-            checks.extend(_suite_spectrum(seed, inject_failure))
-        elif name == "contiguous":
-            checks.extend(_suite_contiguous(inject_failure))
-        else:
-            checks.extend(_suite_reconstruction(seed, inject_failure))
+        checks.extend(_SUITES[name](seed, inject_failure))
     failed = 0
     for check in checks:
         status = "pass" if check["ok"] else "FAIL"

@@ -17,10 +17,14 @@ of truth for the spectrum checks in :mod:`ftqc.verify`.
 
 Every representation class owns its per-kind behaviour through one
 protocol: a ``kind`` name, the cost-model size fields it declares in
-``size_fields`` (read back by :meth:`sizes`), ``lambda_report(Tprime)``,
-``encoded_terms(Tprime)``, ``to_dict()`` and the ``from_dict`` classmethod.
-The kind -> class registry behind :func:`rep_from_dict` is the only place
-the four kinds are listed; nothing else dispatches on representation type.
+``size_fields`` (read back by :meth:`sizes`), the factorize options it
+declares in ``options`` (name -> :class:`Option`), the
+``factorize(data, Tprime, **options)`` classmethod that builds it, its cost
+model ``cost(params)``, ``lambda_report(Tprime)``, ``encoded_terms(Tprime)``,
+``to_dict()`` and the ``from_dict`` classmethod.  The kind -> class registry
+:data:`REP_KINDS` is the only place the four kinds are listed; the command
+line, the cost dispatch and :func:`rep_from_dict` all read it, and nothing
+dispatches on representation type.
 SF and DF share the squared-one-body algebra and differ only in how the
 one-body and factor norms are taken: entrywise for SF, Schatten for DF.
 """
@@ -29,9 +33,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from typing import NamedTuple
 
 import numpy as np
 
+from . import costs
 from .tensors import (IntegralData, compute_T, orbit_keys, scatter_eightfold,
                       unique_orbits)
 
@@ -97,11 +103,20 @@ def _pair_matrix(chi: np.ndarray) -> np.ndarray:
     return (chi[:, None, :] * chi[None, :, :]).reshape(n * n, M)
 
 
+class Option(NamedTuple):
+    """A factorize option: how to read it, its default, whether it is required."""
+
+    cast: type
+    default: object = None
+    required: bool = False
+
+
 class _Rep:
     """Members every representation kind shares."""
 
     kind: str
     size_fields: tuple[str, ...]
+    options: dict[str, Option]
 
     def sizes(self) -> dict:
         """The cost-model sizes, keyed by field name in declaration order."""
@@ -131,6 +146,7 @@ class SparseRep(_Rep):
 
     kind = "sparse"
     size_fields = ("d",)
+    options = {"threshold": Option(float, required=True)}
 
     n_spatial: int
     indices: np.ndarray
@@ -158,6 +174,14 @@ class SparseRep(_Rep):
             raise self._invalid(
                 f"entry {tuple(indices[small[0]].tolist())} magnitude "
                 f"{abs(values[small[0]]):.3e} not above threshold {self.threshold:.3e}")
+
+    @classmethod
+    def factorize(cls, data: IntegralData, Tprime: np.ndarray, threshold: float):
+        return sparse_truncate(data, Tprime, threshold)[0], {}
+
+    @staticmethod
+    def cost(params: costs.CostParams) -> costs.CostReport:
+        return costs.cost_sparse(params)
 
     @property
     def d(self) -> int:
@@ -249,9 +273,19 @@ class SFRep(_SquaredOneBody):
 
     kind = "sf"
     size_fields = ("L",)
+    options = {"target_l": Option(int), "tolerance": Option(float)}
 
     n_spatial: int
     Ws: tuple
+
+    @classmethod
+    def factorize(cls, data: IntegralData, Tprime: np.ndarray,
+                  target_l: int | None, tolerance: float | None):
+        return single_factorize(data, target_L=target_l, tolerance=tolerance), {}
+
+    @staticmethod
+    def cost(params: costs.CostParams) -> costs.CostReport:
+        return costs.cost_sf(params)
 
     @property
     def L(self) -> int:
@@ -292,6 +326,7 @@ class DFRep(_SquaredOneBody):
 
     kind = "df"
     size_fields = ("L", "Xi_total")
+    options = {"threshold": Option(float, required=True), "target_l": Option(int)}
 
     n_spatial: int
     fs: tuple
@@ -304,6 +339,15 @@ class DFRep(_SquaredOneBody):
             dev = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
             if dev > 1e-10:
                 raise ValueError(f"eigenvector block {l} not orthonormal ({dev:.3e})")
+
+    @classmethod
+    def factorize(cls, data: IntegralData, Tprime: np.ndarray, threshold: float,
+                  target_l: int | None):
+        return double_factorize(single_factorize(data, target_L=target_l), threshold), {}
+
+    @staticmethod
+    def cost(params: costs.CostParams) -> costs.CostReport:
+        return costs.cost_df(params)
 
     @property
     def L(self) -> int:
@@ -355,6 +399,8 @@ class THCRep(_Rep):
 
     kind = "thc"
     size_fields = ("M",)
+    options = {"rank": Option(int, required=True), "starts": Option(int, 20),
+               "seed": Option(int, 0)}
 
     chi: np.ndarray
     zeta: np.ndarray
@@ -375,6 +421,20 @@ class THCRep(_Rep):
         dev = float(np.max(np.abs(zeta - zeta.T))) if M else 0.0
         if dev > ZETA_SYMMETRY_ATOL:
             raise ValueError(f"zeta is not symmetric (max deviation {dev:.3e})")
+
+    @classmethod
+    def factorize(cls, data: IntegralData, Tprime: np.ndarray, rank: int,
+                  starts: int, seed: int):
+        """Multi-start least-squares fit; the extra parameters record the
+        best restart and its objective."""
+        from . import thc  # thc imports this module
+
+        fit = thc.thc_fit(data.V, rank, thc.FitConfig(n_starts=starts, seed=seed))
+        return fit.rep, {"objective": fit.objective, "restart": fit.restart}
+
+    @staticmethod
+    def cost(params: costs.CostParams) -> costs.CostReport:
+        return costs.cost_thc(params)
 
     @property
     def M(self) -> int:

@@ -4,7 +4,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from ftqc import costs
 from ftqc.cli import main
+from ftqc.factorizations import REP_KINDS
 
 
 @pytest.fixture
@@ -52,6 +54,52 @@ def test_factorize_sparse_rep_block_pinned(runner, fcidump_file, tmp_path):
     assert len(rep["entries"]) == 20
     digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
     assert digest == "04cc3a6f1eadee7de3545d53c9e6b32ee147673dcb987c391fa0f80d3a068d9a"
+
+
+@pytest.mark.parametrize("method, extra, summary, digest", [
+    ("sf", [], "L=8 lambda=35.4152",
+     "7279db22f01a97a89563c292b6290929318a261eba5eae69dfea0c85310660b6"),
+    ("df", ["--threshold", "1e-3"], "L=6 Xi_total=18 lambda=13.6895",
+     "e2a4b208e2710c055d4ea252760492c3e12d37100a1a3ec93606eb5f52de8f46"),
+    ("thc", ["--rank", "9", "--starts", "2", "--seed", "0"], "M=9 lambda=70.9053",
+     "d5354ac85bd7ac84645fdcc450878a2dc072d9bee0ac212cb87c09f3e9fdbefa"),
+])
+def test_factorize_rep_block_pinned(runner, fcidump_file, tmp_path, method,
+                                    extra, summary, digest):
+    # as test_factorize_sparse_rep_block_pinned, for the other three kinds
+    out = tmp_path / f"{method}.json"
+    result = runner.invoke(main, [
+        "factorize", str(fcidump_file), "--method", method, *extra, "-o", str(out),
+    ])
+    assert result.exit_code == 0, _text(result)
+    assert result.output == f"{method}: {summary} -> {out}\n"
+    rep = json.loads(out.read_text())["rep"]
+    assert hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_rep_kinds_drive_the_cli():
+    def method_choices(command):
+        param = next(p for p in main.commands[command].params if p.name == "method")
+        return list(param.type.choices)
+
+    assert method_choices("factorize") == list(REP_KINDS)
+    assert method_choices("cost") == [*REP_KINDS, "qdrift", "all"]
+    flags = {p.name for p in main.commands["factorize"].params}
+    for kind, cls in REP_KINDS.items():
+        assert set(cls.options) <= flags, kind
+        params = costs.CostParams(N=108, lam=300.0,
+                                  **{field: 20 for field in cls.size_fields})
+        assert cls.cost(params).method == kind
+
+
+@pytest.mark.parametrize("method, option", [
+    (kind, name) for kind, cls in REP_KINDS.items()
+    for name, opt in cls.options.items() if opt.required
+])
+def test_factorize_required_option_message(runner, fcidump_file, method, option):
+    result = runner.invoke(main, ["factorize", str(fcidump_file), "--method", method])
+    assert result.exit_code == 1
+    assert result.stderr == f"error: method {method} needs --{option}\n"
 
 
 def test_factorize_sf_df(runner, fcidump_file, tmp_path):

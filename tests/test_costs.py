@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ftqc import costs
 from ftqc.costs import CostParams, ceil_div, ceil_log2, two_adic_valuation
@@ -177,29 +180,57 @@ def test_df_operating_points():
     assert r.logical_qubits == 6405
 
 
-def test_totals_are_exact_integers():
-    for fn, params in [
-        (costs.cost_thc, REIHER_THC),
-        (costs.cost_sparse, REIHER_SPARSE),
-        (costs.cost_sf, REIHER_SF),
-        (costs.cost_df, REIHER_DF),
-    ]:
-        r = fn(params)
-        assert isinstance(r.toffoli_per_step, int)
-        assert isinstance(r.iterations, int)
-        assert isinstance(r.toffoli_total, int)
-        assert r.toffoli_total == r.toffoli_per_step * r.iterations
+_COST_MODELS = {"thc": costs.cost_thc, "sparse": costs.cost_sparse,
+                "sf": costs.cost_sf, "df": costs.cost_df}
+_REIHER_POINTS = [("thc", REIHER_THC), ("sparse", REIHER_SPARSE),
+                  ("sf", REIHER_SF), ("df", REIHER_DF)]
+_LAMBDAS = st.floats(2.0, 1e4)
+_EPSILONS = st.floats(1e-4, 1e-2)
 
 
-def test_breakdown_sums_to_per_step():
-    for fn, params in [
-        (costs.cost_thc, REIHER_THC),
-        (costs.cost_sparse, REIHER_SPARSE),
-        (costs.cost_sf, REIHER_SF),
-        (costs.cost_df, REIHER_DF),
-    ]:
-        r = fn(params)
-        assert sum(r.breakdown.values()) == r.toffoli_per_step
+@st.composite
+def _operating_points(draw):
+    """A kind and its CostParams over the paper's range of sizes; beth is left
+    at its default floor(2 log2 lambda), so it grows with lambda."""
+    kind = draw(st.sampled_from(sorted(_COST_MODELS)))
+    if kind == "thc":
+        sizes = {"M": draw(st.integers(1, 600))}
+    elif kind == "sparse":
+        sizes = {"d": draw(st.integers(1, 10**6))}
+    else:
+        sizes = {"L": draw(st.integers(1, 500))}
+        if kind == "df":
+            sizes["Xi_total"] = draw(st.integers(sizes["L"], 20000))
+    return kind, CostParams(N=2 * draw(st.integers(2, 120)), lam=draw(_LAMBDAS),
+                            eps_pea=draw(_EPSILONS), **sizes)
+
+
+def _at_reiher_points(test):
+    for point in _REIHER_POINTS:
+        test = example(point)(test)
+    return test
+
+
+@_at_reiher_points
+@settings(deadline=None, max_examples=150)
+@given(_operating_points())
+def test_totals_are_exact_integers(point):
+    kind, params = point
+    r = _COST_MODELS[kind](params)
+    assert isinstance(r.toffoli_per_step, int)
+    assert isinstance(r.iterations, int)
+    assert isinstance(r.toffoli_total, int)
+    assert r.iterations == math.ceil(math.pi * params.lam / (2.0 * params.eps_pea))
+    assert r.toffoli_total == r.toffoli_per_step * r.iterations
+
+
+@_at_reiher_points
+@settings(deadline=None, max_examples=150)
+@given(_operating_points())
+def test_breakdown_sums_to_per_step(point):
+    kind, params = point
+    r = _COST_MODELS[kind](params)
+    assert sum(r.breakdown.values()) == r.toffoli_per_step
 
 
 def test_thc_all_k_one_matches_hand_substitution():
@@ -384,21 +415,20 @@ def test_thc_qubits_nondecreasing_in_prepare_batch():
     assert all(a <= b for a, b in zip(observed, observed[1:]))
 
 
-def test_totals_monotone_in_lambda_and_eps():
-    lams = [100.0, 200.0, 400.0, 800.0, 1600.0]
-    totals = [
-        costs.cost_thc(CostParams(N=108, lam=lam, M=350, aleph=10, beth=16)).toffoli_total
-        for lam in lams
-    ]
-    assert all(a < b for a, b in zip(totals, totals[1:]))
-    epss = [0.0001, 0.0002, 0.0004, 0.0008, 0.0016]
-    totals = [
-        costs.cost_sparse(
-            CostParams(N=108, lam=2135.3, eps_pea=eps, d=705831)
-        ).toffoli_total
-        for eps in epss
-    ]
-    assert all(a >= b for a, b in zip(totals, totals[1:]))
+@example(("thc", REIHER_THC), 1600.0, 0.0016)
+@example(("sparse", REIHER_SPARSE), 100.0, 0.0001)
+@settings(deadline=None, max_examples=150)
+@given(_operating_points(), _LAMBDAS, _EPSILONS)
+def test_totals_monotone_in_lambda_and_eps(point, lam, eps):
+    kind, params = point
+
+    def total(**change):
+        return _COST_MODELS[kind](dataclasses.replace(params, **change)).toffoli_total
+
+    low, high = sorted([params.lam, lam])
+    assert total(lam=low) <= total(lam=high)
+    low, high = sorted([params.eps_pea, eps])
+    assert total(eps_pea=low) >= total(eps_pea=high)
 
 
 def test_report_to_dict():
