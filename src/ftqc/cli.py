@@ -1,9 +1,11 @@
 """Batch front-end: ingestion, factorization, costing, layout, verification.
 
 Each command resolves its parameters from an optional flat key=value config
-file plus command-line flags (flags win; each click parameter's name is its
-config key), embeds the resolved configuration and an input content hash
-into its report, and emits JSON (full precision), csv, or an aligned table
+file plus command-line flags (flags win).  A config key is a flag or
+parameter name in any case, with - and _ alike; each value is converted by
+that parameter's own type, and unknown keys are rejected.  Each command
+embeds the resolved configuration and an input content hash into its
+report, and emits JSON (full precision), csv, or an aligned table
 (4 significant digits).  Exit codes: 0 ok, 1 domain error, 2 usage error.
 The representation kinds, their factorize flags and their cost models come
 from :data:`ftqc.factorizations.REP_KINDS`.
@@ -53,11 +55,14 @@ def _fail(message: str):
     sys.exit(1)
 
 
-def _read_config_file(path: str | None) -> dict:
-    """Flat key = value lines; blank lines and # comments ignored."""
+def _read_config(ctx: click.Context, option: click.Option, path: str | None):
+    """Eager --config callback: each key = value line (blank lines and #
+    comments ignored) sets the default of the parameter its key names, in
+    any case and with - and _ alike, converted by that parameter's type."""
     if path is None:
-        return {}
-    out = {}
+        return
+    params = {p.name: p for p in ctx.command.params if p is not option}
+    defaults = {}
     for lineno, line in enumerate(
         pathlib.Path(path).read_text().splitlines(), start=1
     ):
@@ -66,27 +71,39 @@ def _read_config_file(path: str | None) -> dict:
             continue
         if "=" not in body:
             _fail(f"{path}:{lineno}: expected key = value")
-        key, value = body.split("=", 1)
-        out[key.strip().replace("-", "_")] = value.strip()
-    return out
-
-
-def _merge(file_values: dict, flag_values: dict) -> dict:
-    merged = dict(file_values)
-    merged.update({k: v for k, v in flag_values.items() if v is not None})
-    return merged
-
-
-def _get(merged: dict, key: str, cast, default=None, required=False):
-    if key in merged and merged[key] is not None:
-        value = merged[key]
+        key, value = (part.strip() for part in body.split("=", 1))
+        param = params.get(key.lower().replace("-", "_"))
+        if param is None:
+            _fail(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            return cast(value) if isinstance(value, str) else value
-        except ValueError:
-            _fail(f"parameter {key}: cannot parse {value!r}")
+            defaults[param.name] = param.type.convert(value, param, ctx)
+        except click.BadParameter as exc:
+            _fail(f"{path}:{lineno}: {key}: {exc.message}")
+    ctx.default_map = {**(ctx.default_map or {}), **defaults}
+
+
+_config_option = click.option(
+    "--config", type=click.Path(exists=True, dir_okay=False), is_eager=True,
+    expose_value=False, callback=_read_config)
+
+
+def _get(values: dict, key: str, default=None, required=False):
+    if values.get(key) is not None:
+        return values[key]
     if required:
         _fail(f"missing required parameter {key}")
     return default
+
+
+def _given(values: dict, *skip: str) -> dict:
+    """The parameters set by a flag or the config file, less those in skip."""
+    return {k: v for k, v in values.items() if v is not None and k not in skip}
+
+
+def _fields(values: dict, fields: dict) -> dict:
+    """{field: value} for each set parameter named in fields (name -> field)."""
+    return {field: values[name] for name, field in fields.items()
+            if values[name] is not None}
 
 
 def _hash_bytes(payload: bytes) -> str:
@@ -171,21 +188,17 @@ def _factorize_options(command):
                 required=False, metavar="[FCIDUMP]")
 @click.option("--method", type=click.Choice(list(factorizations.REP_KINDS)))
 @_factorize_options
-@click.option("--config", "config_path",
-              type=click.Path(exists=True, dir_okay=False))
+@_config_option
 @click.option("--output", "-o", type=click.Path())
-def factorize(config_path, **flags):
+def factorize(**flags):
     """Factor an FCIDUMP into a serialized representation with its norms."""
-    merged = _merge(_read_config_file(config_path), flags)
-    path = _get(merged, "input", str, required=True)
-    method = _get(merged, "method", str, required=True)
-    out_path = _get(merged, "output", str, default=f"{method}.json")
-    kind = factorizations.REP_KINDS.get(method)
-    if kind is None:
-        _fail(f"unknown method {method!r}")
+    path = _get(flags, "input", required=True)
+    method = _get(flags, "method", required=True)
+    out_path = _get(flags, "output", default=f"{method}.json")
+    kind = factorizations.REP_KINDS[method]
     options = {}
     for name, option in kind.options.items():
-        options[name] = _get(merged, name, option.cast, option.default)
+        options[name] = _get(flags, name, option.default)
         if option.required and options[name] is None:
             _fail(f"method {method} needs --{name.replace('_', '-')}")
 
@@ -231,21 +244,14 @@ def _report_row(report: costs.CostReport) -> list:
     ]
 
 
-def _cost_params(merged: dict, N: int, lam: float, sizes: dict) -> costs.CostParams:
+def _cost_params(flags: dict, N: int, lam: float, sizes: dict) -> costs.CostParams:
     """CostParams from N, lambda and the representation's sizes; eps_pea,
-    the bit widths and Xi_max come from the flags or their defaults."""
-    return costs.CostParams(
-        N=N,
-        lam=lam,
-        eps_pea=_get(merged, "eps_pea", float, default=0.001),
-        b_r=_get(merged, "br", int, default=7),
-        aleph=_get(merged, "aleph", int),
-        aleph1=_get(merged, "aleph1", int),
-        aleph2=_get(merged, "aleph2", int),
-        beth=_get(merged, "beth", int),
-        Xi_max=_get(merged, "xi_max", int),
-        **sizes,
-    )
+    the bit widths and Xi_max come from the flags that are set, the rest
+    from CostParams' defaults."""
+    knobs = _fields(flags, {"eps_pea": "eps_pea", "br": "b_r", "aleph": "aleph",
+                            "aleph1": "aleph1", "aleph2": "aleph2", "beth": "beth",
+                            "xi_max": "Xi_max"})
+    return costs.CostParams(N=N, lam=lam, **knobs, **sizes)
 
 
 def _read_rep_file(path: pathlib.Path):
@@ -284,17 +290,15 @@ def _read_rep_file(path: pathlib.Path):
 @click.option("--br", type=int)
 @click.option("--mode", type=click.Choice(["rms", "confidence", "hodges_lehmann"]))
 @click.option("--from-reps", type=click.Path(exists=True, file_okay=False))
-@click.option("--config", "config_path",
-              type=click.Path(exists=True, dir_okay=False))
+@_config_option
 @click.option("--format", type=click.Choice(["json", "csv", "table"]))
 @click.option("--output", "-o", type=click.Path())
-def cost(config_path, **flags):
+def cost(**flags):
     """Toffoli and logical-qubit estimate for a factored Hamiltonian."""
-    merged = _merge(_read_config_file(config_path), flags)
-    method = _get(merged, "method", str, required=True)
-    fmt = _get(merged, "format", str, default="json")
-    output = _get(merged, "output", str)
-    from_reps = _get(merged, "from_reps", str)
+    method = _get(flags, "method", required=True)
+    fmt = _get(flags, "format", default="json")
+    output = flags["output"]
+    from_reps = flags["from_reps"]
 
     reports: list[costs.CostReport] = []
     input_hash = None
@@ -313,7 +317,7 @@ def cost(config_path, **flags):
                 if method not in ("all", rep.kind):
                     continue
                 hasher.update(f.read_bytes())
-                params = _cost_params(merged, 2 * rep.n_spatial, lam_total,
+                params = _cost_params(flags, 2 * rep.n_spatial, lam_total,
                                       rep.sizes())
                 reports.append(rep.cost(params))
             input_hash = hasher.hexdigest()
@@ -321,28 +325,26 @@ def cost(config_path, **flags):
             if not reports:
                 _fail(f"no {method} representation found in {from_reps}")
         elif method == "qdrift":
-            lam_val = _get(merged, "lambda", float, required=True)
-            eps_val = _get(merged, "eps", float, default=0.0016)
-            mode_val = _get(merged, "mode", str, default="rms")
-            n_val = _get(merged, "n", int)
-            reports.append(qdrift.cost_qdrift(lam_val, eps_val, N=n_val,
+            lam_val = _get(flags, "lambda", required=True)
+            eps_val = _get(flags, "eps", default=0.0016)
+            mode_val = _get(flags, "mode", default="rms")
+            reports.append(qdrift.cost_qdrift(lam_val, eps_val, N=flags["n"],
                                               mode=mode_val))
         elif method in factorizations.REP_KINDS:
             kind = factorizations.REP_KINDS[method]
-            n_val = _get(merged, "n", int, required=True)
-            lam_val = _get(merged, "lambda", float, required=True)
-            sizes = {field: _get(merged, field.lower(), int, required=True)
+            n_val = _get(flags, "n", required=True)
+            lam_val = _get(flags, "lambda", required=True)
+            sizes = {field: _get(flags, field.lower(), required=True)
                      for field in kind.size_fields}
-            reports.append(kind.cost(_cost_params(merged, n_val, lam_val, sizes)))
+            reports.append(kind.cost(_cost_params(flags, n_val, lam_val, sizes)))
         else:
             _fail("method all needs --from-reps")
     except ValueError as exc:
         _fail(str(exc))
 
-    params = {k: v for k, v in merged.items()
-              if k not in ("method", "format", "output", "from_reps")}
     config = RunConfig("cost", method=method, input=input_name, output=output,
-                       fmt=fmt, params=params)
+                       fmt=fmt, params=_given(flags, "method", "format", "output",
+                                              "from_reps"))
     resolved = config.resolved()
     payload = {
         "schema": SCHEMA_VERSION,
@@ -364,30 +366,23 @@ def cost(config_path, **flags):
 @click.option("--budget", type=float)
 @click.option("--factories", type=int)
 @click.option("--factory-rate", type=float)
-@click.option("--config", "config_path",
-              type=click.Path(exists=True, dir_okay=False))
+@_config_option
 @click.option("--format", type=click.Choice(["json", "csv", "table"]))
 @click.option("--output", "-o", type=click.Path())
-def layout(config_path, **flags):
+def layout(**flags):
     """Physical qubits and wall-clock time for a Toffoli workload."""
-    merged = _merge(_read_config_file(config_path), flags)
-    fmt = _get(merged, "format", str, default="json")
-    output = _get(merged, "output", str)
-    count = _get(merged, "toffoli", float, required=True)
-    tiles_val = _get(merged, "tiles", float)
-    lq = _get(merged, "logical_qubits", float)
+    fmt = _get(flags, "format", default="json")
+    output = flags["output"]
+    count = _get(flags, "toffoli", required=True)
+    tiles_val = flags["tiles"]
+    lq = flags["logical_qubits"]
 
-    kwargs = {}
-    for key, field in (("p", "phys_error_rate"), ("cycle_time", "cycle_time"),
-                       ("reaction_time", "reaction_time"),
-                       ("budget", "total_error_budget"),
-                       ("factories", "factory_count"),
-                       ("factory_rate", "factory_rate_per_factory")):
-        value = _get(merged, key, float if key != "factories" else int)
-        if value is not None:
-            kwargs[field] = value
     try:
-        assumptions = surface.PhysicalAssumptions(**kwargs)
+        assumptions = surface.PhysicalAssumptions(**_fields(flags, {
+            "p": "phys_error_rate", "cycle_time": "cycle_time",
+            "reaction_time": "reaction_time", "budget": "total_error_budget",
+            "factories": "factory_count",
+            "factory_rate": "factory_rate_per_factory"}))
         if tiles_val is not None:
             estimate = surface.layout_estimate(
                 assumptions=assumptions, tiles=tiles_val, toffoli=count)
@@ -401,8 +396,8 @@ def layout(config_path, **flags):
     except ValueError as exc:
         _fail(str(exc))
 
-    params = {k: v for k, v in merged.items() if k not in ("format", "output")}
-    config = RunConfig("layout", output=output, fmt=fmt, params=params)
+    config = RunConfig("layout", output=output, fmt=fmt,
+                       params=_given(flags, "format", "output"))
     resolved = config.resolved()
     payload = {
         "schema": SCHEMA_VERSION,
@@ -452,7 +447,7 @@ def _suite_contiguous(seed: int, inject: bool) -> list[dict]:
     checks = []
     for n in range(2, 9):
         count, correct = verify.simulate_contiguous_schedule(n)
-        expected = n * n + n - 1 + (1 if inject else 0)
+        expected = costs.contiguous_register_cost(n) + (1 if inject else 0)
         note = " (injected: target off by one)" if inject else ""
         checks.append({
             "name": f"contiguous n={n}{note}",

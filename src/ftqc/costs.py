@@ -1,15 +1,22 @@
 """Toffoli and logical-qubit cost models for the qubitized walk methods.
 
 Everything here is exact integer arithmetic once the inputs (lambda, ranks,
-bit widths) are fixed.  QROM batching exponents k are powers of two chosen
-by scanning; ties prefer the candidate with the smaller ancilla footprint
-and then the smaller k.  toffoli_total is always iterations *
+bit widths) are fixed.  Each model names its QROM lookups in one table of
+(role, domain, term); :func:`minimize_over_k` is the only batching scan.
+It tries every power of two up to each register's domain (pairs for a
+two-register lookup, first register outermost) and keeps the earliest
+strict minimum, so ties go to the smaller k and the smaller ancilla
+footprint.  An explicit override per role must be a power of two.  Every
+report, the qDRIFT ones included, comes from :func:`build_report`, which
+fills the five Toffoli buckets and sets toffoli_per_step to their sum, so
+the breakdown sums to the per-step count and toffoli_total is iterations *
 toffoli_per_step by construction.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 
@@ -72,38 +79,24 @@ def _default_beth(lam: float) -> int:
     return int(math.floor(2.0 * math.log2(lam)))
 
 
-def minimize_over_k(domain: int, term):
-    """Best power-of-two batching exponent for a local cost term.
+def minimize_over_k(domain, term):
+    """Best power-of-two batching for a lookup cost term, as (k, value).
 
-    Scans k in {1, 2, ..., 2^ceil_log2(domain)}; strict improvement means
-    ties keep the smaller k, which also has the smaller ancilla footprint.
+    domain is one register size, or a tuple of sizes for a lookup over
+    several index registers; term then takes one k per register and k is
+    returned as a tuple.  Candidates run with the first register outermost,
+    and strict improvement keeps the earliest, so ties keep the smaller k,
+    which also has the smaller ancilla footprint.
     """
-    best_k, best = 1, term(1)
-    k = 2
-    limit = 1 << ceil_log2(max(1, domain))
-    while k <= limit:
-        value = term(k)
-        if value < best:
-            best_k, best = k, value
-        k *= 2
-    return best_k, best
-
-
-def minimize_over_k_pair(domain1: int, domain2: int, term):
-    """Joint scan over power-of-two pairs for coupled two-register lookups."""
+    sizes = domain if isinstance(domain, tuple) else (domain,)
+    grids = [[1 << e for e in range(ceil_log2(max(1, n)) + 1)] for n in sizes]
     best = None
-    k1 = 1
-    limit1 = 1 << ceil_log2(max(1, domain1))
-    limit2 = 1 << ceil_log2(max(1, domain2))
-    while k1 <= limit1:
-        k2 = 1
-        while k2 <= limit2:
-            value = term(k1, k2)
-            if best is None or value < best[2]:
-                best = (k1, k2, value)
-            k2 *= 2
-        k1 *= 2
-    return best
+    for k in itertools.product(*grids):
+        value = term(*k)
+        if best is None or value < best[1]:
+            best = (k, value)
+    k, value = best
+    return (k if isinstance(domain, tuple) else k[0]), value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -129,7 +122,6 @@ class CostParams:
     L: int | None = None
     Xi_total: int | None = None
     Xi_max: int | None = None
-    eta: int | None = None
 
     def __post_init__(self):
         if self.N < 2 or self.N % 2:
@@ -178,19 +170,50 @@ class CostReport:
         }
 
 
-def _resolve_k(overrides: dict, role: str, domain: int, term):
-    """Honor an explicit k for this role, otherwise scan.
+BUCKETS = ("prepare", "select", "reflection", "qrom", "rotations")
 
-    An override of None forces the scan even when the method installs its
-    own default for the role.
+
+def build_report(method: str, iterations, logical_qubits: int, *, inputs: dict,
+                 k_choices: dict | None = None, extras: dict | None = None,
+                 **buckets) -> CostReport:
+    """A CostReport whose toffoli_per_step is the sum of its named buckets.
+
+    Each bucket in BUCKETS that is not given counts 0; any other name is an
+    error.
     """
-    k = overrides.get(role)
-    if k is not None:
-        k = int(k)
-        if k < 1 or k & (k - 1):
+    unknown = set(buckets) - set(BUCKETS)
+    if unknown:
+        raise TypeError(f"unknown cost buckets {sorted(unknown)}")
+    breakdown = {name: buckets.get(name, 0) for name in BUCKETS}
+    return CostReport(method=method, toffoli_per_step=sum(breakdown.values()),
+                      iterations=iterations, logical_qubits=logical_qubits,
+                      k_choices=k_choices or {}, breakdown=breakdown,
+                      inputs=inputs, extras=extras or {})
+
+
+def _resolve_k(overrides: dict, roles: dict) -> tuple[dict, dict]:
+    """Batching k and term value for each role of a {role: (domain, term)} table.
+
+    An explicit k (one power of two per register) is honored, otherwise the
+    role is scanned.  An override of None forces the scan even when the
+    method installs its own default for the role.
+    """
+    ks, values = {}, {}
+    for role, (domain, term) in roles.items():
+        k = overrides.get(role)
+        if k is None:
+            ks[role], values[role] = minimize_over_k(domain, term)
+            continue
+        pair = isinstance(domain, tuple)
+        parts = tuple(map(int, k)) if pair else (int(k),)
+        if any(x < 1 or x & (x - 1) for x in parts):
             raise ValueError(f"k override for {role} must be a power of two")
-        return k, term(k)
-    return minimize_over_k(domain, term)
+        ks[role], values[role] = (parts if pair else parts[0]), term(*parts)
+    return ks, values
+
+
+def _walk_inputs(params: CostParams, **sizes) -> dict:
+    return {"N": params.N, "lambda": params.lam, "eps_pea": params.eps_pea, **sizes}
 
 
 def cost_thc(params: CostParams, k_overrides: dict | None = None) -> CostReport:
@@ -201,7 +224,6 @@ def cost_thc(params: CostParams, k_overrides: dict | None = None) -> CostReport:
     """
     if params.M is None:
         raise ValueError("cost_thc needs M")
-    overrides = dict(k_overrides or {})
     N, M, b_r = params.N, int(params.M), params.b_r
     aleph = 10 if params.aleph is None else params.aleph
     beth = _default_beth(params.lam) if params.beth is None else params.beth
@@ -210,23 +232,15 @@ def cost_thc(params: CostParams, k_overrides: dict | None = None) -> CostReport:
     d = N // 2 + M * (M + 1) // 2
     m = 2 * n_M + 2 + aleph
 
-    k_s1, t_s1 = _resolve_k(overrides, "prepare_output", d, lambda k: qrom_cost(d, m, k))
-    k_s2, t_s2 = _resolve_k(overrides, "prepare_erase", d, lambda k: qrom_erase_cost(d, k))
-    k_r1, t_r1 = _resolve_k(
-        overrides, "rotation_output", M,
-        lambda k: ceil_div(M, k) + ceil_div(N, 2 * k) + k,
-    )
-    k_r2, t_r2 = _resolve_k(
-        overrides, "rotation_erase", M, lambda k: ceil_div(M, k) + k
-    )
-
-    prepare = 30 * n_M + 4 * b_r - 16 + 2 * n_M * n_M + 3 * aleph
-    select = 2 * M - 11 * N // 2
-    rotations = 4 * N * beth + t_r1 + t_r2
-    qrom = t_s1 + t_s2
-    per_step = prepare + select + rotations + qrom
+    k, t = _resolve_k(k_overrides or {}, {
+        "prepare_output": (d, lambda k: qrom_cost(d, m, k)),
+        "prepare_erase": (d, lambda k: qrom_erase_cost(d, k)),
+        "rotation_output": (M, lambda k: ceil_div(M, k) + ceil_div(N, 2 * k) + k),
+        "rotation_erase": (M, lambda k: ceil_div(M, k) + k),
+    })
 
     I = iterations(params.lam, params.eps_pea)
+    k_s1 = k["prepare_output"]
     qubits = (
         2 * ceil_log2(I + 1)
         + N
@@ -240,28 +254,13 @@ def cost_thc(params: CostParams, k_overrides: dict | None = None) -> CostReport:
             m + beth * N // 2 + beth - 2,
         )
     )
-    return CostReport(
-        method="thc",
-        toffoli_per_step=per_step,
-        iterations=I,
-        logical_qubits=qubits,
-        k_choices={
-            "prepare_output": k_s1,
-            "prepare_erase": k_s2,
-            "rotation_output": k_r1,
-            "rotation_erase": k_r2,
-        },
-        breakdown={
-            "prepare": prepare,
-            "select": select,
-            "reflection": 0,
-            "qrom": qrom,
-            "rotations": rotations,
-        },
-        inputs={
-            "N": N, "lambda": params.lam, "eps_pea": params.eps_pea,
-            "M": M, "d": d, "aleph": aleph, "beth": beth, "b_r": b_r,
-        },
+    return build_report(
+        "thc", I, qubits, k_choices=k,
+        inputs=_walk_inputs(params, M=M, d=d, aleph=aleph, beth=beth, b_r=b_r),
+        prepare=30 * n_M + 4 * b_r - 16 + 2 * n_M * n_M + 3 * aleph,
+        select=2 * M - 11 * N // 2,
+        qrom=t["prepare_output"] + t["prepare_erase"],
+        rotations=4 * N * beth + t["rotation_output"] + t["rotation_erase"],
     )
 
 
@@ -275,22 +274,17 @@ def cost_sparse(params: CostParams, k_overrides: dict | None = None) -> CostRepo
     """
     if params.d is None:
         raise ValueError("cost_sparse needs d")
-    overrides = {"k1": 32}
-    overrides.update(k_overrides or {})
     N, d, b_r = params.N, int(params.d), params.b_r
     aleph = 10 if params.aleph is None else params.aleph
-    eta = two_adic_valuation(d) if params.eta is None else params.eta
+    eta = two_adic_valuation(d)
 
     n_N = ceil_log2(N // 2)
     m = aleph + 8 * n_N + 4
 
-    k1, t1 = _resolve_k(overrides, "k1", d, lambda k: qrom_cost(d, m, k))
-    k2, t2 = _resolve_k(overrides, "k2", d, lambda k: qrom_erase_cost(d, k))
-
-    prepare = 8 * n_N + 2 * aleph + 7 * ceil_log2(d) - 6 * eta + 4 * b_r - 19
-    select = 4 * N
-    qrom = t1 + t2
-    per_step = prepare + select + qrom
+    k, t = _resolve_k({"k1": 32, **(k_overrides or {})}, {
+        "k1": (d, lambda k: qrom_cost(d, m, k)),
+        "k2": (d, lambda k: qrom_erase_cost(d, k)),
+    })
 
     I = iterations(params.lam, params.eps_pea)
     qubits = (
@@ -299,27 +293,16 @@ def cost_sparse(params: CostParams, k_overrides: dict | None = None) -> CostRepo
         + ceil_log2(d)
         + b_r
         + aleph
-        + m * k1
-        + ceil_log2(ceil_div(d, k1))
+        + m * k["k1"]
+        + ceil_log2(ceil_div(d, k["k1"]))
         + 1
     )
-    return CostReport(
-        method="sparse",
-        toffoli_per_step=per_step,
-        iterations=I,
-        logical_qubits=qubits,
-        k_choices={"k1": k1, "k2": k2},
-        breakdown={
-            "prepare": prepare,
-            "select": select,
-            "reflection": 0,
-            "qrom": qrom,
-            "rotations": 0,
-        },
-        inputs={
-            "N": N, "lambda": params.lam, "eps_pea": params.eps_pea,
-            "d": d, "aleph": aleph, "b_r": b_r, "eta": eta,
-        },
+    return build_report(
+        "sparse", I, qubits, k_choices=k,
+        inputs=_walk_inputs(params, d=d, aleph=aleph, b_r=b_r, eta=eta),
+        prepare=8 * n_N + 2 * aleph + 7 * ceil_log2(d) - 6 * eta + 4 * b_r - 19,
+        select=4 * N,
+        qrom=t["k1"] + t["k2"],
     )
 
 
@@ -332,11 +315,10 @@ def cost_sf(params: CostParams, k_overrides: dict | None = None) -> CostReport:
     """
     if params.L is None:
         raise ValueError("cost_sf needs L")
-    overrides = dict(k_overrides or {})
     N, L, b_r = params.N, int(params.L), params.b_r
     aleph1 = 10 if params.aleph1 is None else params.aleph1
     aleph2 = 10 if params.aleph2 is None else params.aleph2
-    eta = two_adic_valuation(L) if params.eta is None else params.eta
+    eta = two_adic_valuation(L)
 
     n_L = ceil_log2(L + 1)
     n_N = ceil_log2(N // 2)
@@ -344,48 +326,23 @@ def cost_sf(params: CostParams, k_overrides: dict | None = None) -> CostReport:
     b_p = 2 * n_N + aleph2 + 2
     theta = ceil_div(N * N + 4 * N, 8)
 
-    k_L, t_L = _resolve_k(
-        overrides, "outer_output", L + 1,
-        lambda k: ceil_div(L + 1, k) + b_L * (k + 1),
-    )
-    k_Le, t_Le = _resolve_k(
-        overrides, "outer_erase", L + 1, lambda k: ceil_div(L + 1, k) + k
-    )
-
-    def inner_term(k1, k2):
-        return (
+    def inner(bits):
+        """Two-register lookup of `bits`-bit words (1 for the erase)."""
+        return lambda k1, k2: (
             ceil_div(L + 1, k1) * ceil_div(theta, k2)
-            + 2 * b_p * k1 * k2
+            + 2 * bits * k1 * k2
             + ceil_div(L, k1) * ceil_div(theta, k2)
         )
 
-    def inner_erase_term(k1, k2):
-        return (
-            ceil_div(L + 1, k1) * ceil_div(theta, k2)
-            + 2 * k1 * k2
-            + ceil_div(L, k1) * ceil_div(theta, k2)
-        )
-
-    if "inner_output" in overrides:
-        k_p1, k_p2 = overrides["inner_output"]
-        t_p = inner_term(k_p1, k_p2)
-    else:
-        k_p1, k_p2, t_p = minimize_over_k_pair(L + 1, theta, inner_term)
-    if "inner_erase" in overrides:
-        k_pe1, k_pe2 = overrides["inner_erase"]
-        t_pe = inner_erase_term(k_pe1, k_pe2)
-    else:
-        k_pe1, k_pe2, t_pe = minimize_over_k_pair(L + 1, theta, inner_erase_term)
-
-    prepare = (
-        7 * n_L + 4 * n_N * n_N + 40 * n_N - 6 * eta + 12 * b_r
-        + aleph1 + 4 * aleph2 - 56 + t_L + t_Le
-    )
-    select = 4 * N
-    qrom = t_p + t_pe
-    per_step = prepare + select + qrom
+    k, t = _resolve_k(k_overrides or {}, {
+        "outer_output": (L + 1, lambda k: ceil_div(L + 1, k) + b_L * (k + 1)),
+        "outer_erase": (L + 1, lambda k: ceil_div(L + 1, k) + k),
+        "inner_output": ((L + 1, theta), inner(b_p)),
+        "inner_erase": ((L + 1, theta), inner(1)),
+    })
 
     I = iterations(params.lam, params.eps_pea)
+    k_p1, k_p2 = k["inner_output"]
     qubits = (
         2 * ceil_log2(I)
         + N
@@ -400,28 +357,16 @@ def cost_sf(params: CostParams, k_overrides: dict | None = None) -> CostReport:
         + ceil_log2(ceil_div(L + 1, k_p1))
         + ceil_log2(ceil_div(theta, k_p2))
     )
-    return CostReport(
-        method="sf",
-        toffoli_per_step=per_step,
-        iterations=I,
-        logical_qubits=qubits,
-        k_choices={
-            "outer_output": k_L,
-            "outer_erase": k_Le,
-            "inner_output": (k_p1, k_p2),
-            "inner_erase": (k_pe1, k_pe2),
-        },
-        breakdown={
-            "prepare": prepare,
-            "select": select,
-            "reflection": 0,
-            "qrom": qrom,
-            "rotations": 0,
-        },
-        inputs={
-            "N": N, "lambda": params.lam, "eps_pea": params.eps_pea,
-            "L": L, "aleph1": aleph1, "aleph2": aleph2, "b_r": b_r, "eta": eta,
-        },
+    return build_report(
+        "sf", I, qubits, k_choices=k,
+        inputs=_walk_inputs(params, L=L, aleph1=aleph1, aleph2=aleph2, b_r=b_r,
+                            eta=eta),
+        prepare=(
+            7 * n_L + 4 * n_N * n_N + 40 * n_N - 6 * eta + 12 * b_r
+            + aleph1 + 4 * aleph2 - 56 + t["outer_output"] + t["outer_erase"]
+        ),
+        select=4 * N,
+        qrom=t["inner_output"] + t["inner_erase"],
     )
 
 
@@ -434,13 +379,12 @@ def cost_df(params: CostParams, k_overrides: dict | None = None) -> CostReport:
     """
     if params.L is None or params.Xi_total is None:
         raise ValueError("cost_df needs L and Xi_total")
-    overrides = dict(k_overrides or {})
     N, L, X, b_r = params.N, int(params.L), int(params.Xi_total), params.b_r
     aleph1 = 10 if params.aleph1 is None else params.aleph1
     aleph2 = 10 if params.aleph2 is None else params.aleph2
     beth = _default_beth(params.lam) if params.beth is None else params.beth
     Xi_max = N // 2 if params.Xi_max is None else int(params.Xi_max)
-    eta = two_adic_valuation(L) if params.eta is None else params.eta
+    eta = two_adic_valuation(L)
 
     n_L = ceil_log2(L + 1)
     n_Xi = ceil_log2(Xi_max)
@@ -450,43 +394,23 @@ def cost_df(params: CostParams, k_overrides: dict | None = None) -> CostReport:
     b_o = n_Xi + n_LXi + b_r + 1
     b_p2 = n_Xi + aleph2 + 2
 
-    k_p1, t_p1 = _resolve_k(
-        overrides, "outer_coeff", L + 1, lambda k: qrom_cost(L + 1, b_p1, k)
-    )
-    k_o, t_o = _resolve_k(
-        overrides, "outer_offset", L + 1, lambda k: qrom_cost(L + 1, b_o, k)
-    )
-    k_p1e, t_p1e = _resolve_k(
-        overrides, "outer_coeff_erase", L + 1, lambda k: qrom_erase_cost(L + 1, k)
-    )
-    k_oe, t_oe = _resolve_k(
-        overrides, "outer_offset_erase", L + 1, lambda k: qrom_erase_cost(L + 1, k)
-    )
-    k_r, t_r = _resolve_k(
-        overrides, "rotation_output", D,
-        lambda k: ceil_div(D, k) + ceil_div(X, k) + N * beth * k,
-    )
-    k_re, t_re = _resolve_k(
-        overrides, "rotation_erase", D,
-        lambda k: ceil_div(D, k) + ceil_div(X, k) + 2 * k,
-    )
-    k_p2, t_p2 = _resolve_k(
-        overrides, "inner_coeff", D,
-        lambda k: ceil_div(D, k) + ceil_div(X, k) + 2 * b_p2 * (k - 1),
-    )
-    k_p2e, t_p2e = _resolve_k(
-        overrides, "inner_coeff_erase", D,
-        lambda k: ceil_div(D, k) + ceil_div(X, k) + 2 * k,
-    )
+    def outer_erase(k):
+        return qrom_erase_cost(L + 1, k)
 
-    prepare = (
-        9 * n_L - 6 * eta + 12 * b_r + 34 * n_Xi + 8 * n_LXi
-        + 3 * aleph1 + 6 * aleph2 - 43
-        + t_p1 + t_o + t_p1e + t_oe + t_p2 + t_p2e
-    )
-    rotations = 3 * N * beth - 6 * N
-    qrom = t_r + t_re
-    per_step = prepare + rotations + qrom
+    def inner_erase(k):
+        return ceil_div(D, k) + ceil_div(X, k) + 2 * k
+
+    k, t = _resolve_k(k_overrides or {}, {
+        "outer_coeff": (L + 1, lambda k: qrom_cost(L + 1, b_p1, k)),
+        "outer_offset": (L + 1, lambda k: qrom_cost(L + 1, b_o, k)),
+        "outer_coeff_erase": (L + 1, outer_erase),
+        "outer_offset_erase": (L + 1, outer_erase),
+        "rotation_output": (D, lambda k: ceil_div(D, k) + ceil_div(X, k) + N * beth * k),
+        "rotation_erase": (D, inner_erase),
+        "inner_coeff": (D, lambda k: ceil_div(D, k) + ceil_div(X, k) + 2 * b_p2 * (k - 1)),
+        "inner_coeff_erase": (D, inner_erase),
+    })
+    qrom = t["rotation_output"] + t["rotation_erase"]
 
     I = iterations(params.lam, params.eps_pea)
     qubits = (
@@ -498,36 +422,19 @@ def cost_df(params: CostParams, k_overrides: dict | None = None) -> CostReport:
         + beth
         + b_o
         + b_p2
-        + k_r * N * beth // 2
+        + k["rotation_output"] * N * beth // 2
         + 2 * ceil_log2(I + 1)
         + 7
     )
-    return CostReport(
-        method="df",
-        toffoli_per_step=per_step,
-        iterations=I,
-        logical_qubits=qubits,
-        k_choices={
-            "outer_coeff": k_p1,
-            "outer_offset": k_o,
-            "outer_coeff_erase": k_p1e,
-            "outer_offset_erase": k_oe,
-            "rotation_output": k_r,
-            "rotation_erase": k_re,
-            "inner_coeff": k_p2,
-            "inner_coeff_erase": k_p2e,
-        },
-        breakdown={
-            "prepare": prepare,
-            "select": 0,
-            "reflection": 0,
-            "qrom": qrom,
-            "rotations": rotations,
-        },
-        inputs={
-            "N": N, "lambda": params.lam, "eps_pea": params.eps_pea,
-            "L": L, "Xi_total": X, "Xi_max": Xi_max,
-            "aleph1": aleph1, "aleph2": aleph2, "beth": beth,
-            "b_r": b_r, "eta": eta,
-        },
+    return build_report(
+        "df", I, qubits, k_choices=k,
+        inputs=_walk_inputs(params, L=L, Xi_total=X, Xi_max=Xi_max, aleph1=aleph1,
+                            aleph2=aleph2, beth=beth, b_r=b_r, eta=eta),
+        # every lookup but the rotation pair belongs to state preparation
+        prepare=(
+            9 * n_L - 6 * eta + 12 * b_r + 34 * n_Xi + 8 * n_LXi
+            + 3 * aleph1 + 6 * aleph2 - 43 + sum(t.values()) - qrom
+        ),
+        qrom=qrom,
+        rotations=3 * N * beth - 6 * N,
     )

@@ -596,13 +596,11 @@ def lambda_report(rep, data: IntegralData) -> LambdaReport:
     return _registered(rep).lambda_report(compute_T(data).Tprime)
 
 
-def rep_to_dict(rep, lam: LambdaReport | None = None, metadata: dict | None = None) -> dict:
+def rep_to_dict(rep, lam: LambdaReport | None = None) -> dict:
     """Serialize a representation to a JSON-ready dict (row-major arrays)."""
     out = {"schema": SCHEMA_VERSION, **_registered(rep).to_dict()}
     if lam is not None:
         out["lambda"] = lam.to_dict()
-    if metadata:
-        out["metadata"] = dict(metadata)
     return out
 
 
@@ -627,8 +625,8 @@ def write_rep_json(payload: dict, path) -> None:
         fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def save_rep(rep, path, lam: LambdaReport | None = None, metadata: dict | None = None):
-    write_rep_json(rep_to_dict(rep, lam, metadata), path)
+def save_rep(rep, path, lam: LambdaReport | None = None):
+    write_rep_json(rep_to_dict(rep, lam), path)
 
 
 def load_rep(path):

@@ -23,7 +23,7 @@ import math
 import numpy as np
 from scipy import integrate, optimize
 
-from .costs import CostReport
+from .costs import CostReport, build_report
 
 _GRID_MAX = 16.0
 _GRID_POINTS = 32001
@@ -408,16 +408,9 @@ def cost_qdrift(lam: float, eps: float, N: int | None = None,
             k = math.sqrt(math.pi / math.sqrt(2.0)) * n_exp**0.75
             r = n_exp / k
             qubits = N + (q + 1) + 2 * math.ceil(math.log2(r + 1.0)) - 1 + q
-        return CostReport(
-            method="qdrift-rms",
-            toffoli_per_step=q - 1,
-            iterations=n_exp,
-            logical_qubits=qubits,
-            breakdown={"rotations": q - 1, "prepare": 0, "select": 0,
-                       "reflection": 0, "qrom": 0},
-            inputs=inputs,
-            extras={"n_exp": n_exp, "rotation_bits": q},
-        )
+        return build_report("qdrift-rms", n_exp, qubits, inputs=inputs,
+                            extras={"n_exp": n_exp, "rotation_bits": q},
+                            rotations=q - 1)
 
     # Each interval mode gives its ideal step and a solver that maps a pinned
     # step to (segments, window fields), or None when no window realizes it.
@@ -457,14 +450,8 @@ def cost_qdrift(lam: float, eps: float, N: int | None = None,
     _, m, j, lam_t, segments, fields = min(solved, key=lambda s: s[0])
     qubits = 0 if N is None else (
         N + 2 * j + 2 * math.ceil(math.log2(segments + 1.0)) - 2)
-    return CostReport(
-        method=method,
-        toffoli_per_step=j + 1,
-        iterations=segments,
-        logical_qubits=qubits,
-        breakdown={"rotations": j - 1, "select": 2, "prepare": 0,
-                   "reflection": 0, "qrom": 0},
-        inputs=inputs,
+    return build_report(
+        method, segments, qubits, inputs=inputs, rotations=j - 1, select=2,
         extras={
             "n_exp": n_ideal,
             "n_exp_adjusted": segments,

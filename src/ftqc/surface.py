@@ -125,6 +125,18 @@ def factory_distances(distance: int):
     return max(1, l1), distance
 
 
+def _data_failure(distance: int, logical_qubits: float, toffoli_count: float,
+                  assumptions: PhysicalAssumptions) -> float:
+    """Data-qubit failure probability over the run: qubits x rounds x rate.
+
+    The round count follows the Toffoli consumption clock at this distance.
+    """
+    tau, _ = toffoli_interval(distance, assumptions)
+    rounds = toffoli_count * tau / assumptions.cycle_time
+    return (logical_qubits * rounds
+            * logical_error_rate(distance, assumptions.phys_error_rate))
+
+
 def choose_distance(logical_qubits: float, toffoli_count: float,
                     assumptions: PhysicalAssumptions) -> int:
     """Smallest odd distance keeping data-qubit failure within half the budget.
@@ -137,13 +149,7 @@ def choose_distance(logical_qubits: float, toffoli_count: float,
     if toffoli_count == 0:
         return 3
     for distance in range(3, MAX_CODE_DISTANCE + 1, 2):
-        tau, _ = toffoli_interval(distance, assumptions)
-        rounds = toffoli_count * tau / assumptions.cycle_time
-        failure = (
-            logical_qubits
-            * rounds
-            * logical_error_rate(distance, assumptions.phys_error_rate)
-        )
+        failure = _data_failure(distance, logical_qubits, toffoli_count, assumptions)
         if failure <= assumptions.total_error_budget / 2.0:
             return distance
     raise ValueError(
@@ -157,13 +163,9 @@ def _assemble(distance: int, data_tiles: float, toffoli_count: float,
     if toffoli_count == 0:
         ftiles = 0
         tau, limiting = 0.0, "tick"
-        runtime = 0.0
-        rounds = 0.0
     else:
         ftiles = factory_tiles(distance, assumptions)
         tau, limiting = toffoli_interval(distance, assumptions)
-        runtime = toffoli_count * tau
-        rounds = runtime / assumptions.cycle_time
     tiles = data_tiles + ftiles
     l1, l2 = factory_distances(distance)
     return PhysicalEstimate(
@@ -174,13 +176,10 @@ def _assemble(distance: int, data_tiles: float, toffoli_count: float,
         factory_tiles=ftiles,
         tiles=tiles,
         physical_qubits_total=int(round(tiles * tile_qubits(distance))),
-        runtime_seconds=runtime,
+        runtime_seconds=toffoli_count * tau,
         limiting_constraint=limiting,
-        logical_error_total=(
-            logical_qubits
-            * rounds
-            * logical_error_rate(distance, assumptions.phys_error_rate)
-        ),
+        logical_error_total=_data_failure(distance, logical_qubits,
+                                          toffoli_count, assumptions),
     )
 
 

@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from ftqc import tensors
+
+# Property tests draw the same examples on every run, so a failure reproduces
+# and tier-1 stays deterministic; deadline=None because wall time per
+# example varies with the machine's load.
+settings.register_profile("ftqc", derandomize=True, deadline=None)
+settings.load_profile("ftqc")
 
 
 @pytest.fixture

@@ -172,6 +172,44 @@ def test_factorize_bad_config_line(runner, fcidump_file, tmp_path):
     assert "expected key = value" in _text(result)
 
 
+@pytest.mark.parametrize("command, lines, flags", [
+    ("cost", ["method = df", "N = 108", "L = 360", "Xi-Total = 13031",
+              "LAMBDA = 294.8", "Xi_max = 1"],
+     ["--method", "df", "--N", "108", "--L", "360", "--xi-total", "13031",
+      "--lambda", "294.8", "--xi-max", "1"]),
+    ("layout", ["Toffoli = 6.7e9", "tiles = 1908", "P = 1e-3", "cycle-time = 2e-6"],
+     ["--toffoli", "6.7e9", "--tiles", "1908", "--p", "1e-3", "--cycle-time", "2e-6"]),
+], ids=["cost-df", "layout"])
+def test_config_file_matches_flag_run(runner, tmp_path, command, lines, flags):
+    # keys in any case with - or _, and typed values: the config run reports
+    # the flag run's config block, input hash and estimate (Xi_max included)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    from_file = runner.invoke(main, [command, "--config", str(cfg)])
+    from_flags = runner.invoke(main, [command, *flags])
+    assert from_file.exit_code == 0, _text(from_file)
+    assert from_flags.exit_code == 0, _text(from_flags)
+    assert json.loads(from_file.output) == json.loads(from_flags.output)
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["method = thc", "# comment", "bogus = 3"], "run.cfg:3: unknown key 'bogus'"),
+    (["config = other.cfg"], "run.cfg:1: unknown key 'config'"),
+    (["method = thc", "", "N = ten"], "run.cfg:3: N: 'ten' is not a valid integer."),
+    (["method = nonsense"],
+     "run.cfg:1: method: 'nonsense' is not one of 'sparse', 'sf', 'df', 'thc', "
+     "'qdrift', 'all'."),
+], ids=["unknown-key", "config-key", "bad-int", "bad-choice"])
+def test_config_file_bad_entry(runner, tmp_path, lines, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    result = runner.invoke(main, ["cost", "--config", str(cfg)])
+    assert result.exit_code == 1
+    assert result.stderr.endswith(f"{message}\n")
+    assert str(cfg) in result.stderr
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+
+
 def test_cost_thc_operating_point(runner):
     result = runner.invoke(main, [
         "cost", "--method", "thc", "--N", "108", "--M", "350",

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -112,6 +114,9 @@ def test_k_override_must_be_power_of_two():
     params = CostParams(N=108, lam=306.3, M=350, aleph=10, beth=16)
     with pytest.raises(ValueError, match="power of two"):
         costs.cost_thc(params, k_overrides={"prepare_output": 3})
+    with pytest.raises(ValueError, match="power of two"):
+        costs.cost_sf(CostParams(N=108, lam=4258.0, L=200),
+                      k_overrides={"inner_output": (3, 1)})
 
 
 REIHER_THC = CostParams(N=108, lam=306.3, M=350, aleph=10, beth=16)
@@ -438,3 +443,53 @@ def test_report_to_dict():
     assert payload["toffoli_total"] == 5253994200
     assert payload["breakdown"] == r.breakdown
     assert payload["inputs"]["N"] == 108
+
+
+_WALK_CASES = {
+    "thc": ("thc", REIHER_THC, None),
+    "sparse": ("sparse", REIHER_SPARSE, None),
+    "sf": ("sf", REIHER_SF, None),
+    "df": ("df", REIHER_DF, None),
+    "thc-all-k-one": ("thc", REIHER_THC, dict.fromkeys(
+        ["prepare_output", "prepare_erase", "rotation_output", "rotation_erase"], 1)),
+    "sparse-all-k-one": ("sparse", REIHER_SPARSE, {"k1": 1, "k2": 1}),
+    "sf-all-k-one": ("sf", REIHER_SF, {"outer_output": 1, "outer_erase": 1,
+                                       "inner_output": (1, 1), "inner_erase": (1, 1)}),
+    "df-all-k-one": ("df", dataclasses.replace(REIHER_DF, Xi_max=54, beth=16),
+                     dict.fromkeys(["outer_coeff", "outer_offset", "outer_coeff_erase",
+                                    "outer_offset_erase", "rotation_output",
+                                    "rotation_erase", "inner_coeff",
+                                    "inner_coeff_erase"], 1)),
+    "sparse-free-scan": ("sparse", REIHER_SPARSE, {"k1": None}),
+}
+_WALK_PARENT_REPORTS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "walk_parent_reports.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(_WALK_CASES))
+def test_walk_reports_match_pinned(name):
+    # to_dict() of every walk model before the models shared one batching
+    # scan and one report builder: same values, types and key order
+    kind, params, overrides = _WALK_CASES[name]
+    report = _COST_MODELS[kind](params, k_overrides=overrides).to_dict()
+    assert json.dumps(report) == json.dumps(_WALK_PARENT_REPORTS[name])
+
+
+def test_build_report_sums_named_buckets():
+    r = costs.build_report("x", 3, 5, inputs={"N": 2}, select=2, rotations=7)
+    assert r.breakdown == {"prepare": 0, "select": 2, "reflection": 0,
+                           "qrom": 0, "rotations": 7}
+    assert list(r.breakdown) == list(costs.BUCKETS)
+    assert r.toffoli_per_step == 9 and r.toffoli_total == 27
+    with pytest.raises(TypeError, match="unknown cost buckets"):
+        costs.build_report("x", 1, 1, inputs={}, qroms=1)
+
+
+def test_minimize_over_k_pair_domain():
+    # a tuple domain scans every power-of-two pair, first register outermost
+    seen = []
+    k, value = costs.minimize_over_k((3, 2), lambda k1, k2: seen.append((k1, k2)) or 5)
+    assert seen == [(1, 1), (1, 2), (2, 1), (2, 2), (4, 1), (4, 2)]
+    assert (k, value) == ((1, 1), 5)
+    k, value = costs.minimize_over_k((4, 4), lambda k1, k2: abs(k1 - 2) + abs(k2 - 4))
+    assert (k, value) == ((2, 4), 0)

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from ftqc import surface
 from ftqc.costs import CostParams, CostReport, cost_thc
@@ -194,3 +196,57 @@ def test_cost_report_feeds_layout():
     est = surface.layout_estimate(report)
     assert est.data_tiles == math.ceil(1.5 * report.logical_qubits)
     assert est.runtime_seconds > 0
+
+
+@st.composite
+def _assumptions(draw):
+    return PhysicalAssumptions(
+        phys_error_rate=draw(st.floats(1e-5, 5e-3)),
+        total_error_budget=draw(st.floats(1e-4, 0.5)),
+        factory_count=draw(st.integers(1, 16)),
+        reaction_time=draw(st.floats(1e-7, 1e-4)),
+    )
+
+
+_TOFFOLIS = st.floats(0.0, 1e14)
+
+
+def _estimate_or_skip(**kwargs):
+    """The estimate, or a skipped example when no distance up to 51 fits or
+    the tile budget is below the factory footprint."""
+    try:
+        return surface.layout_estimate(**kwargs)
+    except ValueError:
+        assume(False)
+
+
+def _check_estimate(est, a):
+    assert est.data_distance % 2 == 1
+    assert 3 <= est.data_distance <= surface.MAX_CODE_DISTANCE
+    assert est.logical_error_total <= a.total_error_budget / 2
+    assert est.tiles == est.data_tiles + est.factory_tiles
+
+
+@example(PhysicalAssumptions(), 1908.0, 6.7e9)
+@example(PhysicalAssumptions(), 1908.0, 0.0)
+@given(_assumptions(), st.floats(50.0, 1e5), _TOFFOLIS)
+def test_layout_tile_budget_properties(a, tiles, toffoli):
+    _check_estimate(_estimate_or_skip(tiles=tiles, toffoli=toffoli, assumptions=a), a)
+
+
+@example(PhysicalAssumptions(), 2142, 5.3e9, 6.7e9)
+@given(_assumptions(), st.integers(1, 10**5), _TOFFOLIS, _TOFFOLIS)
+def test_layout_report_properties(a, logical_qubits, toffoli, more):
+    low, high = sorted([toffoli, more])
+
+    def estimate(count):
+        report = CostReport(method="external", toffoli_per_step=1, iterations=count,
+                            logical_qubits=logical_qubits)
+        return _estimate_or_skip(report=report, assumptions=a)
+
+    est_high = estimate(high)
+    est_low = estimate(low)
+    for est in (est_low, est_high):
+        _check_estimate(est, a)
+    # more Toffolis never buy a smaller distance
+    assert est_low.data_distance <= est_high.data_distance
