@@ -91,7 +91,10 @@ def _get(values: dict, key: str, default=None, required=False):
     if values.get(key) is not None:
         return values[key]
     if required:
-        _fail(f"missing required parameter {key}")
+        param = next(p for p in click.get_current_context().command.params
+                     if p.name == key)
+        typed = (param.metavar or param.opts[0]).strip("[]")  # as the user types it
+        _fail(f"missing required parameter {typed}")
     return default
 
 

@@ -191,40 +191,24 @@ def _min_a2_over_delta(alpha: float, confidence: float):
     return float(res.fun), a, cdf.fraction(a) - confidence
 
 
-def ci_optimize(confidence: float = 0.95, delta: float | None = None):
+def ci_optimize(confidence: float = 0.95):
     """Optimize the confidence-interval cost factor a^2/delta.
 
     The segment count scales as (a^2/delta) lambda^2/eps^2 where the
-    confidence condition reads F(a) = confidence + delta.  With delta free
-    both the interval and the surplus mass are optimized; with delta fixed
-    only the shape parameter alpha moves (as delta -> 0 this approaches the
-    plain confidence half-width, up to the tail-convention difference of the
-    published calibrations; see KAISER_DOMAIN).
+    confidence condition reads F(a) = confidence + delta; alpha, a and the
+    surplus mass delta are all optimized.
 
     Returns (alpha, a, delta, a2_over_delta).
     """
-    if delta is None:
-        res = optimize.minimize_scalar(
-            lambda alpha: _min_a2_over_delta(alpha, confidence)[0],
-            bounds=(2.2, 4.2),
-            method="bounded",
-            options={"xatol": 1e-5},
-        )
-        alpha = float(res.x)
-        ratio, a, dlt = _min_a2_over_delta(alpha, confidence)
-        return alpha, a, dlt, ratio
-    if not 0.0 < delta < 1.0 - confidence:
-        raise ValueError("delta must lie in (0, 1 - confidence)")
-
-    def at_alpha(alpha):
-        return _cdf("kaiser-exact", alpha).quantile(confidence + delta)
-
     res = optimize.minimize_scalar(
-        at_alpha, bounds=(1.2, 4.5), method="bounded", options={"xatol": 1e-6}
+        lambda alpha: _min_a2_over_delta(alpha, confidence)[0],
+        bounds=(2.2, 4.2),
+        method="bounded",
+        options={"xatol": 1e-5},
     )
     alpha = float(res.x)
-    a = at_alpha(alpha)
-    return alpha, a, delta, a * a / delta
+    ratio, a, dlt = _min_a2_over_delta(alpha, confidence)
+    return alpha, a, dlt, ratio
 
 
 def _dyadic_candidates(target: float, lo_ratio=0.5, hi_ratio=1.3, span=10):

@@ -19,7 +19,7 @@ gradient df/du = c df/dchi.
 
 For the circuit, unit columns of chi are stored as Givens-style angle
 sequences, and both the angles and zeta are rounded to fixed-point grids;
-a single global dither is tuned so the rounded zeta keeps its 1-norm.
+one exactly solved global dither keeps the 1-norm of the rounded zeta.
 """
 
 from __future__ import annotations
@@ -38,15 +38,16 @@ from .tensors import SYMMETRY_ATOL
 _PROD_FLOOR = 1e-14
 _RESIDUAL_FLOOR = 1e-12
 
+LBFGS_MAXITER = 400
+ADAGRAD_STEPS = 300
+ADAGRAD_RATE = 0.01
+ADAGRAD_EPS = 1e-10
+
 
 @dataclasses.dataclass(frozen=True)
 class FitConfig:
     n_starts: int = 20
     seed: int = 0
-    lbfgs_maxiter: int = 400
-    adagrad_steps: int = 300
-    adagrad_rate: float = 0.01
-    adagrad_eps: float = 1e-10
 
     def __post_init__(self):
         if self.n_starts < 1:
@@ -193,7 +194,7 @@ def _normalized_rep(chi: np.ndarray, zeta: np.ndarray) -> THCRep:
     return THCRep(chi=chi, zeta=0.5 * (zeta + zeta.T))
 
 
-def _adagrad_tail(fun, x: np.ndarray, config: FitConfig, floor: float):
+def _adagrad_tail(fun, x: np.ndarray, floor: float):
     """Best point seen over the AdaGrad steps from x, so it never regresses.
 
     Returns None when the start itself is not finite.
@@ -203,11 +204,11 @@ def _adagrad_tail(fun, x: np.ndarray, config: FitConfig, floor: float):
         return None
     best_x, best = x, obj
     accum = np.zeros_like(x)
-    for _ in range(config.adagrad_steps):
+    for _ in range(ADAGRAD_STEPS):
         if best < floor:
             break
         accum += grad * grad
-        x = x - config.adagrad_rate * grad / (np.sqrt(accum) + config.adagrad_eps)
+        x = x - ADAGRAD_RATE * grad / (np.sqrt(accum) + ADAGRAD_EPS)
         obj, grad = fun(x)
         if not math.isfinite(obj):
             break
@@ -251,9 +252,9 @@ def thc_fit(V: np.ndarray, rank: int, config: FitConfig | None = None) -> FitRes
                                 v_norm2=scale)
         res = optimize.minimize(
             fun, _to_vector(chi0, zeta0, c), jac=True, method="L-BFGS-B",
-            options={"maxiter": config.lbfgs_maxiter},
+            options={"maxiter": LBFGS_MAXITER},
         )
-        x = _adagrad_tail(fun, res.x, config, 1e-14 * max(scale, 1.0))
+        x = _adagrad_tail(fun, res.x, 1e-14 * max(scale, 1.0))
         obj = math.nan
         if x is not None:
             rep = _normalized_rep(*_from_vector(x, n, rank, c))
@@ -316,9 +317,9 @@ def chi_from_angles(theta: np.ndarray) -> np.ndarray:
 class QuantizedTHC:
     """Fixed-point form of a hypercontraction: angle words and rounded zeta.
 
-    x is the global dither applied before rounding zeta magnitudes; warning
-    is set when no dither preserved the 1-norm to within half a grid step
-    (or, at high aleph, to within the float resolution of that 1-norm).
+    x in (-1/2, 1/2) is the global dither added to the zeta magnitudes
+    before rounding; warning is set, with x = 0, when the rounded 1-norm
+    misses sum |zeta| by more than quantize's tolerance.
     """
 
     theta: np.ndarray
@@ -336,10 +337,15 @@ def quantize(rep: THCRep, beth: int, aleph: int) -> QuantizedTHC:
     """Round angles to beth-bit words and zeta to an aleph-bit grid.
 
     The zeta grid step is lambda_z/(d 2^aleph) off the diagonal and twice
-    that on it, with d the state-preparation domain n + M(M+1)/2.  Rounding
-    uses sign-magnitude with a single dither x in [-1, 1] chosen by
-    bisection so the rounded 1-norm matches sum |zeta|; a grid scan backs
-    the bisection up, and on failure x = 0 is kept with warning set.
+    that on it, with d the state-preparation domain n + M(M+1)/2.  Under one
+    dither x in (-1/2, 1/2), a magnitude m (in steps) rounds to floor(m)
+    below its break point 1/2 - frac(m) and to floor(m) + 1 above it, with
+    its sign kept.  Sorting the break points gives the 1-norm gap on every
+    plateau between them; x is the midpoint of the first plateau with the
+    smallest |gap|, so no entry sits on a rounding tie.  For symmetric zeta
+    the gap moves in steps of two off-diagonal units, so one plateau has gap
+    0 unless other entries share a break point.  If the gap at x exceeds the
+    tolerance anyway, x = 0 is kept with warning set.
     """
     if beth < 1 or aleph < 1:
         raise ValueError("bit counts must be positive")
@@ -348,48 +354,31 @@ def quantize(rep: THCRep, beth: int, aleph: int) -> QuantizedTHC:
     u_theta = 2.0 * math.pi / 2.0**beth
     theta_q = u_theta * np.round(theta / u_theta)
 
-    zeta = rep.zeta
-    lam_z = float(np.sum(np.abs(zeta)))
+    lam_z = float(np.sum(np.abs(rep.zeta)))
     d = n + M * (M + 1) // 2
     u_off = lam_z / (d * 2.0**aleph)
-    u_diag = lam_z / (d * 2.0 ** (aleph - 1))
-    units = np.where(np.eye(M, dtype=bool), u_diag, u_off)
-
-    signs = np.sign(zeta)
-    mags = np.abs(zeta) / units
+    units = np.where(np.eye(M, dtype=bool), 2.0 * u_off, u_off)
+    mags = np.abs(rep.zeta) / units
+    floors = np.floor(mags)
+    breaks = 0.5 - (mags - floors)
 
     def rounded(x: float) -> np.ndarray:
-        return units * signs * np.round(mags + x)
-
-    def gap(x: float) -> float:
-        return float(np.sum(np.abs(rounded(x)))) - lam_z
+        # round(mags + x) without the float rounding of the sum mags + x
+        return units * np.sign(rep.zeta) * (floors + (breaks < x))
 
     # Half a grid step, but never below the float resolution of a sum of M^2
     # terms of size lambda_z, which half a step undercuts from aleph ~ 48 on.
     tol = max(0.5 * u_off, M * M * math.ulp(lam_z))
     x, warning = 0.0, False
     if lam_z > 0.0:
-        lo, hi = -1.0, 1.0
-        g_lo, g_hi = gap(lo), gap(hi)
-        found = False
-        if g_lo <= 0.0 <= g_hi:
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if gap(mid) < 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            for cand in (0.5 * (lo + hi), lo, hi):
-                if abs(gap(cand)) <= tol:
-                    x, found = cand, True
-                    break
-        if not found:
-            grid = np.linspace(-1.0, 1.0, 100001)
-            gaps = np.array([abs(gap(g)) for g in grid])
-            idx = int(np.argmin(gaps))
-            if gaps[idx] <= tol:
-                x = float(grid[idx])
-            else:
-                x, warning = 0.0, True
+        order = np.argsort(breaks, axis=None, kind="stable")
+        edges = np.concatenate([[-0.5], breaks.flat[order], [0.5]])
+        steps = np.concatenate([[0.0], np.cumsum(units.flat[order])])
+        gaps = np.abs(steps + (float(np.sum(units * floors)) - lam_z))
+        gaps[edges[1:] <= edges[:-1]] = np.inf
+        k = int(np.argmin(gaps))
+        x = 0.5 * float(edges[k] + edges[k + 1])
+        if abs(float(np.sum(np.abs(rounded(x)))) - lam_z) > tol:
+            x, warning = 0.0, True
     return QuantizedTHC(theta=theta_q, zeta_q=rounded(x), beth=beth,
                         aleph=aleph, x=x, warning=warning)

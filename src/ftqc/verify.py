@@ -8,34 +8,12 @@ bit-level carry-save simulation for the contiguous-register arithmetic.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from .tensors import IntegralData, compute_T
 
 MAX_SPIN_ORBITALS = 8
 LAMBDA_BOUND_ATOL = 1e-9
-
-
-@dataclasses.dataclass(frozen=True)
-class FockMatrix:
-    """Dense second-quantized operator on the full occupation basis.
-
-    Basis state k occupies spin-orbital j iff bit j of k is set, with
-    spin-orbital j = sigma * n + p for spin sigma and spatial orbital p.
-    The matrix is real symmetric and block-diagonal in particle number.
-    """
-
-    matrix: np.ndarray
-    n_spin: int
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
 
 
 def _popcounts(dim: int) -> np.ndarray:
@@ -62,7 +40,7 @@ def _transfer_matrix(jp: int, jq: int, dim: int, pops: np.ndarray) -> np.ndarray
 
 def build_exact_hamiltonian(
     Tprime: np.ndarray, twobody: np.ndarray, n_spin: int
-) -> FockMatrix:
+) -> np.ndarray:
     """Assemble F1(Tprime) + F2(twobody) on the full 2^n_spin Fock space.
 
     F1(A) = sum_sigma sum_pq A_pq a^dag_p,sigma a_q,sigma (no 1/2) and
@@ -70,6 +48,12 @@ def build_exact_hamiltonian(
     a^dag_r,beta a_s,beta in chemist ordering.  The caller supplies whatever
     effective one-body matrix its encoding realizes; nothing is halved or
     corrected here.
+
+    Basis state k occupies spin-orbital j iff bit j of k is set, with
+    spin-orbital j = sigma * n + p for spin sigma and spatial orbital p;
+    each ladder operator carries the sign of the occupied spin-orbitals
+    below it.  The dense matrix returned is real symmetric and
+    block-diagonal in particle number.
     """
     n_spin = int(n_spin)
     if n_spin > MAX_SPIN_ORBITALS:
@@ -99,7 +83,7 @@ def build_exact_hamiltonian(
         H += 0.5 * (P[a] @ C[a])
     # The algebra guarantees symmetry; averaging removes addition-order noise.
     H = (H + H.T) / 2.0
-    return FockMatrix(matrix=H, n_spin=n_spin)
+    return H
 
 
 def lambda_bounds_spectrum(rep, data: IntegralData) -> dict:
@@ -116,8 +100,8 @@ def lambda_bounds_spectrum(rep, data: IntegralData) -> dict:
     Tprime = compute_T(data).Tprime
     terms = rep.encoded_terms(Tprime)
     lam = rep.lambda_report(Tprime)
-    fock = build_exact_hamiltonian(terms.one_body, terms.two_body, 2 * n)
-    eigs = fock.eigenvalues()
+    H = build_exact_hamiltonian(terms.one_body, terms.two_body, 2 * n)
+    eigs = np.linalg.eigvalsh(H)
     max_abs_shifted = float(np.max(np.abs(eigs - terms.shift)))
     return {
         "method": lam.method,

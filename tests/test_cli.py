@@ -421,10 +421,19 @@ def test_qdrift_out_of_range_rejected(runner, args, message):
     assert isinstance(result.exception, SystemExit), repr(result.exception)
 
 
-def test_cost_missing_parameter(runner):
-    result = runner.invoke(main, ["cost", "--method", "thc", "--N", "108"])
+@pytest.mark.parametrize("args, typed", [
+    (["cost", "--method", "df", "--N", "108", "--L", "360", "--lambda", "1"],
+     "--xi-total"),
+    (["cost", "--method", "thc", "--M", "350", "--lambda", "1"], "--N"),
+    (["cost", "--method", "qdrift"], "--lambda"),
+    (["layout", "--tiles", "1908"], "--toffoli"),
+    (["factorize", "--method", "sparse"], "FCIDUMP"),
+    (["cost", "--N", "108"], "--method"),
+], ids=["xi-total", "N", "lambda", "toffoli", "fcidump", "method"])
+def test_cost_missing_parameter(runner, args, typed):
+    result = runner.invoke(main, args)
     assert result.exit_code == 1
-    assert "missing required parameter" in _text(result)
+    assert result.stderr == f"error: missing required parameter {typed}\n"
 
 
 def test_cost_usage_error_exit_code(runner):

@@ -92,17 +92,6 @@ def test_ci_optimize_free():
     assert score == pytest.approx(a * a / delta, rel=1e-12)
 
 
-def test_ci_optimize_fixed_delta():
-    alpha, a, delta, score = qdrift.ci_optimize(delta=0.0374053)
-    assert delta == 0.0374053
-    assert alpha == pytest.approx(3.0590907947908526, abs=1e-4)
-    assert score == pytest.approx(304.70643664939263, abs=1e-2)
-    with pytest.raises(ValueError, match="delta must lie in"):
-        qdrift.ci_optimize(delta=0.06)
-    with pytest.raises(ValueError, match="delta must lie in"):
-        qdrift.ci_optimize(delta=0.0)
-
-
 def test_ci_optimize_grid_scan_cannot_do_better():
     # exhaustive scan over the (alpha, delta) box containing the optimum
     alpha_opt, _, delta_opt, score_opt = qdrift.ci_optimize()
@@ -121,13 +110,6 @@ def test_ci_optimize_grid_scan_cannot_do_better():
     assert 0.0 <= excess < 0.5
     assert abs(best[1] - alpha_opt) <= 0.05
     assert abs(best[2] - delta_opt) <= 0.002
-
-
-def test_ci_small_delta_approaches_kaiser_quantile():
-    # as delta -> 0 the adjusted interval reduces to the plain 95% quantile
-    _, a, _, _ = qdrift.ci_optimize(delta=1e-6)
-    _, a_kaiser = qdrift.kaiser_optimum()
-    assert a == pytest.approx(a_kaiser, rel=1e-2)
 
 
 def test_hl_optimize():

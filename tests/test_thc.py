@@ -133,8 +133,7 @@ def test_fit_hands_lbfgs_the_gradient_of_its_objective(monkeypatch):
         return optimize.minimize(fun, x0, **kwargs)
 
     monkeypatch.setattr(thc, "optimize", types.SimpleNamespace(minimize=spy))
-    thc.thc_fit(V, M, config=thc.FitConfig(n_starts=1, lbfgs_maxiter=3,
-                                           adagrad_steps=0))
+    thc.thc_fit(V, M, config=thc.FitConfig(n_starts=1))
     fun, x0 = calls[0]
 
     def direct(x):
@@ -193,13 +192,12 @@ def test_fit_result_is_valid_rep():
 
 def test_fit_records_every_restart():
     V = tensors.random_instance(4, seed=11).V
-    cfg = thc.FitConfig(n_starts=3, seed=0, lbfgs_maxiter=50)
-    result = thc.thc_fit(V, 5, config=cfg)
+    result = thc.thc_fit(V, 5, config=thc.FitConfig(n_starts=3, seed=0))
     assert len(result.restarts) == 3
     assert result.objective == result.restarts[result.restart].objective
     assert result.objective == min(r.objective for r in result.restarts)
     for record in result.restarts:
-        assert 0 < record.nit <= cfg.lbfgs_maxiter
+        assert 0 < record.nit <= thc.LBFGS_MAXITER
         assert record.status in (0, 1, 2)
 
 
@@ -249,9 +247,14 @@ def test_angles_reject_weight_beyond_exhausted_prefix():
         thc.angles_from_chi(bad)
 
 
-def _fitted_rep():
-    V = tensors.random_instance(3, seed=11).V
+@functools.lru_cache(maxsize=None)
+def _fitted_rep_of_instance(seed):
+    V = tensors.random_instance(3, seed=seed).V
     return thc.thc_fit(V, 6, config=thc.FitConfig(n_starts=4, seed=0)).rep
+
+
+def _fitted_rep():
+    return _fitted_rep_of_instance(11)
 
 
 def test_quantize_52_bits_is_identity_scale():
@@ -278,7 +281,7 @@ def test_quantize_entry_error_within_grid_unit():
         assert np.allclose(np.mod(q.zeta_q / units + 0.5, 1.0), 0.5, atol=1e-9)
         u_theta = 2.0 * math.pi / 2.0**beth
         assert np.allclose(np.mod(q.theta / u_theta + 0.5, 1.0), 0.5, atol=1e-6)
-        assert -1.0 <= q.x <= 1.0
+        assert abs(q.x) <= 0.5
         lam_q = float(np.sum(np.abs(q.zeta_q)))
         assert abs(lam_q - lam_z) <= 1e-5 * lam_z
 
@@ -291,12 +294,6 @@ def test_quantize_rejects_bad_bits():
         thc.quantize(rep, beth=16, aleph=0)
 
 
-@functools.lru_cache(maxsize=None)
-def _fitted_rep_of_instance(seed):
-    V = tensors.random_instance(3, seed=seed).V
-    return thc.thc_fit(V, 6, config=thc.FitConfig(n_starts=4, seed=0)).rep
-
-
 @pytest.mark.parametrize("aleph", (48, 52))
 @pytest.mark.parametrize("seed", range(12))
 def test_quantize_high_bits_keeps_one_norm(seed, aleph):
@@ -305,3 +302,78 @@ def test_quantize_high_bits_keeps_one_norm(seed, aleph):
     lam_z = float(np.sum(np.abs(rep.zeta)))
     assert not q.warning
     assert abs(float(np.sum(np.abs(q.zeta_q))) - lam_z) <= 1e-12 * lam_z
+
+
+class _Plateaus:
+    """Direct evaluation of quantize's zeta rounding at any dither x.
+
+    m = |zeta| / unit rounds to floor(m) below its break point 1/2 - frac(m)
+    and to floor(m) + 1 above it, which is round(m + x) on (-1/2, 1/2) in
+    exact arithmetic; mids holds the midpoint of every plateau between the
+    distinct break points.
+    """
+
+    def __init__(self, rep, aleph):
+        n, M = rep.chi.shape
+        self.rep = rep
+        self.lam_z = float(np.sum(np.abs(rep.zeta)))
+        u_off = self.lam_z / ((n + M * (M + 1) // 2) * 2.0**aleph)
+        self.units = np.where(np.eye(M, dtype=bool), 2.0 * u_off, u_off)
+        self.mags = np.abs(rep.zeta) / self.units
+        self.breaks = 0.5 - (self.mags - np.floor(self.mags))
+        edges = np.unique(np.concatenate([[-0.5, 0.5], self.breaks.ravel()]))
+        edges = edges[edges <= 0.5]
+        self.mids = 0.5 * (edges[:-1] + edges[1:])
+        self.tol = max(0.5 * u_off, M * M * math.ulp(self.lam_z))
+
+    def gap(self, x):
+        """Rounded 1-norm minus sum |zeta| at dither x."""
+        steps = np.floor(self.mags) + (self.breaks < x)
+        return float(np.sum(self.units * steps * (self.rep.zeta != 0.0))) - self.lam_z
+
+    def best(self):
+        return min(abs(self.gap(mid)) for mid in self.mids)
+
+
+def test_quantize_dither_is_exact_plateau_solve():
+    rng = np.random.default_rng(2024)
+    for _ in range(60):
+        n, M = int(rng.integers(2, 7)), int(rng.integers(2, 13))
+        chi, zeta = _random_factors(n, M, int(rng.integers(1 << 30)))
+        rep = THCRep(chi=chi, zeta=zeta * rng.uniform(0.1, 10.0))
+        for aleph in (4, 8, 10, 16, 30):
+            q = thc.quantize(rep, beth=16, aleph=aleph)
+            again = thc.quantize(rep, beth=16, aleph=aleph)
+            assert q.x == again.x and np.array_equal(q.zeta_q, again.zeta_q)
+            assert not q.warning
+            assert abs(q.x) <= 0.5
+            plateaus = _Plateaus(rep, aleph)
+            assert np.all(np.abs(q.zeta_q - rep.zeta)
+                          <= plateaus.units * (1.0 + 1e-9))
+            # No plateau does better, up to the float resolution of the sum.
+            slack = M * M * math.ulp(plateaus.lam_z)
+            assert abs(plateaus.gap(q.x)) <= plateaus.best() + slack
+
+
+def test_quantize_dither_with_shared_break_points():
+    # Repeated |zeta| values share break points, so some plateaus are empty
+    # and the 1-norm can jump past sum |zeta|.  x must still lie inside a
+    # plateau, and warning must mean that no plateau meets the tolerance.
+    rng = np.random.default_rng(1)
+    warned = 0
+    for _ in range(300):
+        n, M = int(rng.integers(2, 7)), int(rng.integers(2, 13))
+        chi = rng.normal(size=(n, M))
+        chi /= np.linalg.norm(chi, axis=0)
+        zeta = 0.25 * rng.integers(-3, 4, size=(M, M))
+        rep = THCRep(chi=chi, zeta=zeta + zeta.T)
+        for aleph in (2, 3, 4, 10):
+            q = thc.quantize(rep, beth=16, aleph=aleph)
+            plateaus = _Plateaus(rep, aleph)
+            if q.warning:
+                warned += 1
+                assert q.x == 0.0 and plateaus.best() > plateaus.tol
+            else:
+                assert np.all(plateaus.breaks != q.x)
+                assert abs(plateaus.gap(q.x)) <= plateaus.tol
+    assert 0 < warned < 1200

@@ -17,7 +17,7 @@ def test_single_orbital_golden_spectrum():
     v = payload["two_body_element"]
     V = np.full((1, 1, 1, 1), v)
     H = verify.build_exact_hamiltonian(T, V, 2)
-    energies = np.linalg.eigvalsh(H.matrix)
+    energies = np.linalg.eigvalsh(H)
     assert np.allclose(sorted(energies), payload["energies"], atol=1e-12)
 
 
@@ -25,7 +25,7 @@ def test_hamiltonian_is_symmetric():
     data = tensors.random_instance(3, seed=0)
     kin = tensors.compute_T(data)
     H = verify.build_exact_hamiltonian(kin.T, data.V, 6)
-    assert np.allclose(H.matrix, H.matrix.T, atol=1e-12)
+    assert np.allclose(H, H.T, atol=1e-12)
 
 
 def test_single_particle_block_matches_one_body():
@@ -35,7 +35,7 @@ def test_single_particle_block_matches_one_body():
     A = (A + A.T) / 2.0
     H = verify.build_exact_hamiltonian(A, np.zeros((3,) * 4), 6)
     pops = np.array([bin(i).count("1") for i in range(2**6)])
-    block = H.matrix[np.ix_(pops == 1, pops == 1)]
+    block = H[np.ix_(pops == 1, pops == 1)]
     got = np.sort(np.linalg.eigvalsh(block))
     want = np.sort(np.concatenate([np.linalg.eigvalsh(A)] * 2))
     assert np.allclose(got, want, atol=1e-12)
@@ -48,7 +48,7 @@ def test_diagonal_one_body_gives_subset_sums():
     want = sorted(
         sum(c) for r in range(7) for c in itertools.combinations(spin_diag, r)
     )
-    got = sorted(np.linalg.eigvalsh(H.matrix))
+    got = sorted(np.linalg.eigvalsh(H))
     assert np.allclose(got, want, atol=1e-12)
 
 
@@ -60,7 +60,7 @@ def test_particle_number_blocks_exact():
     for na in range(5):
         for nb in range(5):
             if na != nb:
-                block = H.matrix[np.ix_(pops == na, pops == nb)]
+                block = H[np.ix_(pops == na, pops == nb)]
                 assert np.all(block == 0.0)
 
 
@@ -69,11 +69,11 @@ def test_hamiltonian_linear_in_inputs():
     A = rng.normal(size=(2, 2))
     A = (A + A.T) / 2.0
     V = tensors.random_instance(2, seed=4).V
-    Ha = verify.build_exact_hamiltonian(A, np.zeros_like(V), 4).matrix
-    Hv = verify.build_exact_hamiltonian(np.zeros_like(A), V, 4).matrix
-    Hsum = verify.build_exact_hamiltonian(A, V, 4).matrix
+    Ha = verify.build_exact_hamiltonian(A, np.zeros_like(V), 4)
+    Hv = verify.build_exact_hamiltonian(np.zeros_like(A), V, 4)
+    Hsum = verify.build_exact_hamiltonian(A, V, 4)
     assert np.allclose(Ha + Hv, Hsum, atol=1e-12)
-    H2 = verify.build_exact_hamiltonian(2.0 * A, 2.0 * V, 4).matrix
+    H2 = verify.build_exact_hamiltonian(2.0 * A, 2.0 * V, 4)
     assert np.allclose(H2, 2.0 * Hsum, atol=1e-12)
 
 
