@@ -596,12 +596,9 @@ def lambda_report(rep, data: IntegralData) -> LambdaReport:
     return _registered(rep).lambda_report(compute_T(data).Tprime)
 
 
-def rep_to_dict(rep, lam: LambdaReport | None = None) -> dict:
+def rep_to_dict(rep) -> dict:
     """Serialize a representation to a JSON-ready dict (row-major arrays)."""
-    out = {"schema": SCHEMA_VERSION, **_registered(rep).to_dict()}
-    if lam is not None:
-        out["lambda"] = lam.to_dict()
-    return out
+    return {"schema": SCHEMA_VERSION, **_registered(rep).to_dict()}
 
 
 def rep_from_dict(payload: dict):
@@ -623,12 +620,3 @@ def write_rep_json(payload: dict, path) -> None:
     """Write a rep file as compact sorted-key JSON, which CPython encodes in C."""
     with open(path, "w") as fh:
         fh.write(json.dumps(payload, sort_keys=True) + "\n")
-
-
-def save_rep(rep, path, lam: LambdaReport | None = None):
-    write_rep_json(rep_to_dict(rep, lam), path)
-
-
-def load_rep(path):
-    with open(path) as fh:
-        return rep_from_dict(json.load(fh))

@@ -13,6 +13,12 @@ Rotation angles are synthesized exactly when lambda*t is a dyadic multiple
 of pi, so the ideal time step is rounded to m*pi/2^j (m odd) and the window
 shape is re-optimized with the step held fixed; reports carry both the ideal
 and the adjusted segment counts.  Every table is built on first use.
+
+The module imports the bare ``scipy`` package only; ``scipy.integrate`` and
+``scipy.optimize`` load on first attribute access, which happens in the
+quadratures and window searches of the interval modes (``confidence``,
+``hodges_lehmann``).  The ``rms`` mode and the density functions load no
+solver, so a command that never reaches them does not pay their import.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import functools
 import math
 
 import numpy as np
-from scipy import integrate, optimize
+import scipy
 
 from .costs import CostReport, build_report
 
@@ -78,8 +84,8 @@ def _cosine_tail(T: float) -> float:
     def rational(w):
         return 1.0 / (4.0 * w * w - math.pi**2) ** 2
 
-    nonosc, _ = integrate.quad(rational, T, np.inf)
-    osc, _ = integrate.quad(rational, T, np.inf, weight="cos", wvar=2.0)
+    nonosc, _ = scipy.integrate.quad(rational, T, np.inf)
+    osc, _ = scipy.integrate.quad(rational, T, np.inf, weight="cos", wvar=2.0)
     return 4.0 * math.pi * (nonosc + osc)
 
 
@@ -95,7 +101,7 @@ def _kaiser_tail(T: float, alpha: float) -> float:
     def rational(y):
         return 1.0 / (2.0 * y * math.hypot(y, alpha))
 
-    osc, _ = integrate.quad(rational, y0, np.inf, weight="cos", wvar=2.0)
+    osc, _ = scipy.integrate.quad(rational, y0, np.inf, weight="cos", wvar=2.0)
     return nonosc - osc
 
 
@@ -107,7 +113,7 @@ class _HalfLineCDF:
     """
 
     def __init__(self, grid: np.ndarray, values: np.ndarray, tail: float):
-        cum = integrate.cumulative_trapezoid(values, grid, initial=0.0)
+        cum = scipy.integrate.cumulative_trapezoid(values, grid, initial=0.0)
         self.grid = grid
         self.total = float(cum[-1]) + tail
         self.frac = cum / self.total
@@ -129,7 +135,11 @@ def _grid(upper: float, points: int) -> np.ndarray:
     return grid
 
 
-@functools.lru_cache(maxsize=512)
+# One cold confidence cost builds 142 kaiser-exact tables of 256 KB each.
+# It reuses a table within one fixed-step alpha search or at the first
+# probes every such search shares, at most 52 distinct tables later, so 64
+# entries keep every hit.
+@functools.lru_cache(maxsize=64)
 def _cdf(window: str, alpha: float | None = None) -> _HalfLineCDF:
     if window == "cosine":
         grid = _grid(_GRID_MAX, _GRID_POINTS)
@@ -161,7 +171,7 @@ def kaiser_optimum(confidence: float = 0.95):
 
     Returns (alpha, a).
     """
-    res = optimize.minimize_scalar(
+    res = scipy.optimize.minimize_scalar(
         lambda alpha: window_interval("kaiser", confidence, alpha),
         bounds=(1.2, 4.5),
         method="bounded",
@@ -183,7 +193,7 @@ def _min_a2_over_delta(alpha: float, confidence: float):
             return 1e300
         return a * a / delta
 
-    res = optimize.minimize_scalar(
+    res = scipy.optimize.minimize_scalar(
         objective, bounds=(a0 + 1e-9, a_hi), method="bounded",
         options={"xatol": 1e-7},
     )
@@ -200,7 +210,7 @@ def ci_optimize(confidence: float = 0.95):
 
     Returns (alpha, a, delta, a2_over_delta).
     """
-    res = optimize.minimize_scalar(
+    res = scipy.optimize.minimize_scalar(
         lambda alpha: _min_a2_over_delta(alpha, confidence)[0],
         bounds=(2.2, 4.2),
         method="bounded",
@@ -229,6 +239,9 @@ def _dyadic_candidates(target: float, lo_ratio=0.5, hi_ratio=1.3, span=10):
     return out
 
 
+# A repeated confidence cost reuses its (alpha, a) pairs here: _cdf keeps
+# too few tables to serve a second cost.
+@functools.lru_cache(maxsize=256)
 def _ci_at_fixed_step(kappa: float, confidence: float = 0.95):
     """Re-optimize alpha with lambda*t pinned to a dyadic angle.
 
@@ -256,11 +269,11 @@ def _ci_at_fixed_step(kappa: float, confidence: float = 0.95):
         if not positive.size:
             return None
         k = positive[0]
-        return optimize.brentq(g, march[k], march[k + 1], xtol=1e-12)
+        return scipy.optimize.brentq(g, march[k], march[k + 1], xtol=1e-12)
 
     # a root is positive; a large finite sentinel stands for none, because
     # inf confuses the bounded minimizer
-    res = optimize.minimize_scalar(
+    res = scipy.optimize.minimize_scalar(
         lambda alpha: smallest_root(alpha) or 1e300,
         bounds=(2.2, 4.2), method="bounded", options={"xatol": 2e-3},
     )
@@ -315,7 +328,7 @@ def hl_optimize():
 
     Returns (c, constant) with segments = constant * lambda^2 / eps^2.
     """
-    res = optimize.minimize_scalar(
+    res = scipy.optimize.minimize_scalar(
         lambda c: _hl_segments(c, 1.0, 1.0),
         bounds=(0.2, 0.98),
         method="bounded",
@@ -327,7 +340,7 @@ def hl_optimize():
 @functools.cache
 def _hl_peak() -> float:
     """Capping fraction of the largest i2 i1, so of the largest lambda t."""
-    res = optimize.minimize_scalar(
+    res = scipy.optimize.minimize_scalar(
         lambda c: -math.prod(_hl_integrals(c)),
         bounds=(0.05, 0.99),
         method="bounded",
@@ -353,7 +366,7 @@ def _hl_at_fixed_step(target: float):
         return None
     for lo, hi in ((c_peak, 0.995), (0.02, c_peak)):
         if f(lo) * f(hi) <= 0:
-            return optimize.brentq(f, lo, hi, xtol=1e-12)
+            return scipy.optimize.brentq(f, lo, hi, xtol=1e-12)
     return None
 
 

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -495,3 +499,77 @@ def test_verify_needs_selection(runner):
     result = runner.invoke(main, ["verify"])
     assert result.exit_code == 1
     assert "choose --suite or --all" in _text(result)
+
+
+# Solver subpackages that only THC fitting and the qDRIFT interval modes
+# need.  The bare scipy package is imported by ftqc.qdrift, so the check is
+# on these submodules, not on "scipy".
+_SOLVERS = ("scipy.integrate", "scipy.optimize", "scipy.linalg")
+
+# Runs one command in a fresh interpreter (CliRunner shares this process,
+# whose sys.modules already holds every solver), then prints which solver
+# subpackages the command left loaded.  No arguments: import only.
+_PROBE = f"""
+import sys
+from ftqc.cli import main
+if sys.argv[1:]:
+    try:
+        main(sys.argv[1:])
+    except SystemExit as exc:
+        if exc.code:
+            raise
+print("solvers:", *(m for m in {_SOLVERS!r} if m in sys.modules))
+"""
+
+_SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def _solvers_loaded(args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(_SRC), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-c", _PROBE, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.splitlines()[-1]
+    assert last.startswith("solvers:"), proc.stdout
+    return last.split()[1:]
+
+
+@pytest.mark.parametrize("args", [
+    [],
+    ["layout", "--toffoli", "6.7e9", "--tiles", "1908", "--p", "1e-3"],
+    ["cost", "--method", "sparse", "--N", "108", "--d", "705831", "--lambda", "2135.3"],
+    ["cost", "--method", "sf", "--N", "108", "--L", "200", "--lambda", "4258.0"],
+    ["cost", "--method", "df", "--N", "108", "--L", "360", "--xi-total", "13031",
+     "--lambda", "294.8"],
+    ["cost", "--method", "thc", "--N", "108", "--M", "350", "--lambda", "306.3",
+     "--aleph", "10", "--beth", "16"],
+    ["cost", "--method", "qdrift", "--lambda", "2183.6", "--eps", "0.0016",
+     "--N", "108", "--mode", "rms"],
+    ["factorize", "{fcidump}", "--method", "sparse", "--threshold", "0.01",
+     "-o", "sparse.json"],
+    ["factorize", "{fcidump}", "--method", "sf", "-o", "sf.json"],
+    ["factorize", "{fcidump}", "--method", "df", "--threshold", "1e-6", "-o", "df.json"],
+    ["cost", "--method", "all", "--from-reps", "{reps}"],
+    ["verify", "--all"],
+], ids=lambda args: " ".join(args[:4]) or "import")
+def test_command_loads_no_solver_it_does_not_run(request, tmp_path, args):
+    # importing ftqc.cli must not pull in scipy's solvers: only the commands
+    # that fit THC factors or size a qDRIFT interval pay for them
+    fill = {}
+    if "{fcidump}" in args:
+        fill["fcidump"] = str(request.getfixturevalue("fcidump_file"))
+    if "{reps}" in args:
+        fill["reps"] = str(request.getfixturevalue("rep_dir"))
+    args = [arg.format(**fill) for arg in args]
+    assert _solvers_loaded(args, tmp_path) == []
+
+
+def test_qdrift_interval_mode_loads_its_solvers(tmp_path):
+    # positive control for the probe above
+    loaded = _solvers_loaded(["cost", "--method", "qdrift", "--lambda", "2183.6",
+                              "--eps", "0.0016", "--N", "108", "--mode", "confidence"],
+                             tmp_path)
+    assert "scipy.integrate" in loaded and "scipy.optimize" in loaded

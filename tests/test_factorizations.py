@@ -318,12 +318,17 @@ def _rep_of_kind(kind):
     return rep, data
 
 
+def _rep_file_payload(rep, data):
+    # the rep and lambda blocks of a factorize output file
+    return {"rep": fz.rep_to_dict(rep), "lambda": fz.lambda_report(rep, data).to_dict()}
+
+
 @pytest.mark.parametrize("kind", ["sparse", "sf", "df", "thc"])
 def test_rep_serialization_round_trip(tmp_path, kind):
     rep, data = _rep_of_kind(kind)
     path = tmp_path / f"{kind}.json"
-    fz.save_rep(rep, path, lam=fz.lambda_report(rep, data))
-    back = fz.load_rep(path)
+    fz.write_rep_json(_rep_file_payload(rep, data), path)
+    back = fz.rep_from_dict(json.loads(path.read_text())["rep"])
     assert type(back) is type(rep)
     if kind == "sparse":
         assert np.array_equal(back.indices, rep.indices)
@@ -341,16 +346,16 @@ def test_rep_serialization_round_trip(tmp_path, kind):
         assert np.array_equal(back.zeta, rep.zeta)
 
 
-def test_save_rep_writes_compact_json_and_reads_indented(tmp_path):
+def test_rep_file_is_compact_json_and_reads_indented(tmp_path):
     # one rep-file encoding, shared with the factorize command; files
     # written with indent=2 still load
     rep, data = _rep_of_kind("df")
     path = tmp_path / "df.json"
-    fz.save_rep(rep, path, lam=fz.lambda_report(rep, data))
-    payload = fz.rep_to_dict(rep, fz.lambda_report(rep, data))
+    payload = _rep_file_payload(rep, data)
+    fz.write_rep_json(payload, path)
     assert path.read_text() == json.dumps(payload, sort_keys=True) + "\n"
     path.write_text(json.dumps(payload, sort_keys=True, indent=2))
-    assert fz.load_rep(path).to_dict() == rep.to_dict()
+    assert fz.rep_from_dict(json.loads(path.read_text())["rep"]).to_dict() == rep.to_dict()
 
 
 @pytest.mark.parametrize("kind", ["sparse", "sf", "df", "thc"])
