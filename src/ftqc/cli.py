@@ -55,6 +55,17 @@ def _fail(message: str):
     sys.exit(1)
 
 
+def _check_output(path: str | None):
+    """Fail before any work when path cannot be written as a file."""
+    if path is None:
+        return
+    target = pathlib.Path(path)
+    if target.is_dir():
+        _fail(f"output {path} is a directory")
+    if not target.parent.is_dir():
+        _fail(f"output directory {str(target.parent)!r} does not exist")
+
+
 def _read_config(ctx: click.Context, option: click.Option, path: str | None):
     """Eager --config callback: each key = value line (blank lines and #
     comments ignored) sets the default of the parameter its key names, in
@@ -87,14 +98,18 @@ _config_option = click.option(
     expose_value=False, callback=_read_config)
 
 
+def _typed(key: str) -> str:
+    """The current command's parameter named key, as the user types it."""
+    param = next(p for p in click.get_current_context().command.params
+                 if p.name == key)
+    return (param.metavar or param.opts[0]).strip("[]")
+
+
 def _get(values: dict, key: str, default=None, required=False):
     if values.get(key) is not None:
         return values[key]
     if required:
-        param = next(p for p in click.get_current_context().command.params
-                     if p.name == key)
-        typed = (param.metavar or param.opts[0]).strip("[]")  # as the user types it
-        _fail(f"missing required parameter {typed}")
+        _fail(f"missing required parameter {_typed(key)}")
     return default
 
 
@@ -198,6 +213,7 @@ def factorize(**flags):
     path = _get(flags, "input", required=True)
     method = _get(flags, "method", required=True)
     out_path = _get(flags, "output", default=f"{method}.json")
+    _check_output(out_path)
     kind = factorizations.REP_KINDS[method]
     options = {}
     for name, option in kind.options.items():
@@ -247,14 +263,25 @@ def _report_row(report: costs.CostReport) -> list:
     ]
 
 
+# CostParams fields set by a cost flag other than their own lower-case name
+_FLAG_OF_FIELD = {"b_r": "br"}
+
+
 def _cost_params(flags: dict, N: int, lam: float, sizes: dict) -> costs.CostParams:
     """CostParams from N, lambda and the representation's sizes; eps_pea,
     the bit widths and Xi_max come from the flags that are set, the rest
-    from CostParams' defaults."""
+    from CostParams' defaults.  A field out of range that a flag set is
+    reported under that flag."""
     knobs = _fields(flags, {"eps_pea": "eps_pea", "br": "b_r", "aleph": "aleph",
                             "aleph1": "aleph1", "aleph2": "aleph2", "beth": "beth",
                             "xi_max": "Xi_max"})
-    return costs.CostParams(N=N, lam=lam, **knobs, **sizes)
+    try:
+        return costs.CostParams(N=N, lam=lam, **knobs, **sizes)
+    except costs.FieldError as exc:
+        key = _FLAG_OF_FIELD.get(exc.field, exc.field.lower())
+        if flags.get(key) != exc.value:
+            raise
+        _fail(f"{_typed(key)} {exc.problem}")
 
 
 def _read_rep_file(path: pathlib.Path):
@@ -301,6 +328,7 @@ def cost(**flags):
     method = _get(flags, "method", required=True)
     fmt = _get(flags, "format", default="json")
     output = flags["output"]
+    _check_output(output)
     from_reps = flags["from_reps"]
 
     reports: list[costs.CostReport] = []
@@ -376,6 +404,7 @@ def layout(**flags):
     """Physical qubits and wall-clock time for a Toffoli workload."""
     fmt = _get(flags, "format", default="json")
     output = flags["output"]
+    _check_output(output)
     count = _get(flags, "toffoli", required=True)
     tiles_val = flags["tiles"]
     lq = flags["logical_qubits"]

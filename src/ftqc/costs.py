@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import numbers
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -99,14 +100,29 @@ def minimize_over_k(domain, term):
     return (k if isinstance(domain, tuple) else k[0]), value
 
 
+class FieldError(ValueError):
+    """A CostParams size or bit width that is not a positive integer."""
+
+    def __init__(self, field: str, value):
+        self.field, self.value = field, value
+        self.problem = f"must be a positive integer, got {value!r}"
+        super().__init__(f"{field} {self.problem}")
+
+
+# The sizes and bit widths of CostParams: each is None or a positive integer.
+POSITIVE_FIELDS = ("M", "d", "L", "Xi_total", "Xi_max",
+                   "aleph", "aleph1", "aleph2", "beth", "b_r")
+
+
 @dataclasses.dataclass(frozen=True)
 class CostParams:
     """Inputs shared by the walk-based cost models.
 
     N is the spin-orbital count.  Method-specific sizes (M, d, L, Xi_total)
-    are optional and validated by the cost function that needs them.  Bit
-    widths left as None resolve to the published operating-point defaults
-    (aleph-style widths 10, beth = floor(2 log2 lambda)).
+    are optional; the cost function that needs one checks that it is set.
+    Bit widths left as None resolve to the published operating-point
+    defaults (aleph-style widths 10, beth = floor(2 log2 lambda)).  Each
+    field in POSITIVE_FIELDS that is given must be a positive integer.
     """
 
     N: int
@@ -132,6 +148,11 @@ class CostParams:
             raise ValueError("lambda must be positive")
         if self.eps_pea <= 0:
             raise ValueError("eps_pea must be positive")
+        for name in POSITIVE_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not (
+                    isinstance(value, numbers.Integral) and value >= 1):
+                raise FieldError(name, value)
 
 
 @dataclasses.dataclass(frozen=True)

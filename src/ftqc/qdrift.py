@@ -14,11 +14,15 @@ of pi, so the ideal time step is rounded to m*pi/2^j (m odd) and the window
 shape is re-optimized with the step held fixed; reports carry both the ideal
 and the adjusted segment counts.  Every table is built on first use.
 
-The module imports the bare ``scipy`` package only; ``scipy.integrate`` and
-``scipy.optimize`` load on first attribute access, which happens in the
-quadratures and window searches of the interval modes (``confidence``,
-``hodges_lehmann``).  The ``rms`` mode and the density functions load no
-solver, so a command that never reaches them does not pay their import.
+The module needs numpy only.  Window searches use a bounded Brent
+minimizer and a Brent root finder that repeat SciPy's
+``minimize_scalar(method="bounded")`` and ``brentq`` step for step, so they
+return the same floats.  The tail of a density beyond the grid is split into
+a closed-form part and a Fourier integral, int g(y) cos 2y dy to infinity,
+taken by Gauss-Legendre panels of pi/2 up to a cut-off and three
+integrations by parts beyond it.  The dyadic-step scan stops at the first
+candidate that cannot beat the best one found, since no pinned step needs
+fewer segments than the free optimum.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ import functools
 import math
 
 import numpy as np
-import scipy
 
 from .costs import CostReport, build_report
 
@@ -43,6 +46,129 @@ KAISER_DOMAIN = 40.0
 _KAISER_POINTS = 80001
 
 COSINE_PEAK = 8.0 / math.pi**3
+
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+
+
+def _bounded_min(f, lo: float, hi: float, xatol: float, maxiter: int = 500):
+    """Brent's bounded scalar minimization, returning (x, f(x)).
+
+    Step for step the method of SciPy's ``minimize_scalar(method="bounded")``
+    (golden-section steps with parabolic interpolation), so it returns the
+    same floats.  Like SciPy it stops silently after maxiter evaluations.
+    """
+    a, b = float(lo), float(hi)
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            # parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm - xf >= 0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        x = xf + (1.0 if rat >= 0 else -1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxiter:
+            break
+    return float(xf), float(fx)
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, maxiter: int = 100) -> float:
+    """Root of f in the bracket [xa, xb] by Brent's method.
+
+    Step for step SciPy's ``brentq`` (its C routine, with SciPy's default
+    rtol of 4 machine epsilons and its iteration cap), so it returns the
+    same float.  Raises ValueError when f(xa) and f(xb) share a sign and
+    RuntimeError when the cap is hit.
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + 4.0 * 2.0**-52 * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0 or abs(sbis) < delta:
+            return float(xcur)
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"brentq: no convergence in {maxiter} iterations, "
+                       f"last x = {float(xcur)!r}")
 
 
 def cosine_density(omega):
@@ -78,15 +204,59 @@ def kaiser_density_raw(omega, alpha: float):
     return out if out.ndim else float(out)
 
 
+# The tail rule: _TAIL_NODES-point Gauss-Legendre panels of pi/2, a half
+# period of cos 2y, up to a cut-off _TAIL_PANELS panels past the lower
+# limit.  Doubling both moves a window tail by less than 1e-16.
+_TAIL_PANELS = 2048
+_TAIL_NODES = 8
+
+
+@functools.cache
+def _tail_rule(panels: int, nodes: int):
+    """Nodes x >= 0 of the panel rule with its weights times cos 2x and sin 2x."""
+    from numpy.polynomial.legendre import leggauss  # loads on first use only
+
+    t, w = leggauss(nodes)
+    half = math.pi / 4.0
+    x = (np.arange(panels)[:, None] * (2.0 * half) + (t + 1.0) * half).ravel()
+    w = np.tile(w * half, panels)
+    return x, w * np.cos(2.0 * x), w * np.sin(2.0 * x)
+
+
+def _cos2_tail(y0: float, g, ends) -> float:
+    """int_{y0}^inf g(y) cos 2y dy for a smooth g decaying like y^-2 or faster.
+
+    The panel rule covers [y0, Y] with Y = y0 + _TAIL_PANELS pi/2, through
+    cos 2y = cos 2y0 cos 2x - sin 2y0 sin 2x at x = y - y0, so one table
+    serves every y0.  Beyond Y three integrations by parts give
+    -g sin 2Y/2 - g' cos 2Y/4 + g'' sin 2Y/8, where ends(Y) = (g, g', g'').
+    """
+    x, w_cos, w_sin = _tail_rule(_TAIL_PANELS, _TAIL_NODES)
+    gy = g(y0 + x)
+    head = math.cos(2.0 * y0) * float(gy @ w_cos) - math.sin(2.0 * y0) * float(gy @ w_sin)
+    big_y = y0 + _TAIL_PANELS * (math.pi / 2.0)
+    g0, g1, g2 = ends(big_y)
+    s, c = math.sin(2.0 * big_y), math.cos(2.0 * big_y)
+    return head - g0 * s / 2.0 - g1 * c / 4.0 + g2 * s / 8.0
+
+
 def _cosine_tail(T: float) -> float:
-    """Exact one-sided tail integral of the cosine density beyond T > pi/2."""
+    """One-sided tail integral of the cosine density beyond T > pi/2.
 
-    def rational(w):
-        return 1.0 / (4.0 * w * w - math.pi**2) ** 2
+    cos^2 w = (1 + cos 2w)/2 splits 8 pi cos^2 w/(pi^2-4w^2)^2 into
+    4 pi/(4w^2-pi^2)^2, integrated in closed form, and its cos 2w part.
+    """
+    u, a = 2.0 * T, math.pi
+    nonosc = (u / (u * u - a * a) - math.atanh(a / u) / a) / (4.0 * a * a)
 
-    nonosc, _ = scipy.integrate.quad(rational, T, np.inf)
-    osc, _ = scipy.integrate.quad(rational, T, np.inf, weight="cos", wvar=2.0)
-    return 4.0 * math.pi * (nonosc + osc)
+    def g(w):
+        return 1.0 / (4.0 * w * w - a * a) ** 2
+
+    def ends(w):
+        d = 4.0 * w * w - a * a
+        return 1.0 / d**2, -16.0 * w / d**3, (384.0 * w * w / d - 16.0) / d**3
+
+    return 4.0 * math.pi * (nonosc + _cos2_tail(T, g, ends))
 
 
 def _kaiser_tail(T: float, alpha: float) -> float:
@@ -98,11 +268,15 @@ def _kaiser_tail(T: float, alpha: float) -> float:
     y0 = math.sqrt(T * T - alpha * alpha)
     nonosc = 0.5 / alpha * math.log((alpha + math.hypot(y0, alpha)) / y0)
 
-    def rational(y):
-        return 1.0 / (2.0 * y * math.hypot(y, alpha))
+    def g(y):
+        return 0.5 / (y * np.hypot(y, alpha))
 
-    osc, _ = scipy.integrate.quad(rational, y0, np.inf, weight="cos", wvar=2.0)
-    return nonosc - osc
+    def ends(y):
+        h = math.hypot(y, alpha)
+        return (0.5 / (y * h), -0.5 * (1.0 / (y * y * h) + 1.0 / h**3),
+                0.5 * (2.0 / (y**3 * h) + 1.0 / (y * h**3) + 3.0 * y / h**5))
+
+    return nonosc - _cos2_tail(y0, g, ends)
 
 
 class _HalfLineCDF:
@@ -113,7 +287,7 @@ class _HalfLineCDF:
     """
 
     def __init__(self, grid: np.ndarray, values: np.ndarray, tail: float):
-        cum = scipy.integrate.cumulative_trapezoid(values, grid, initial=0.0)
+        cum = np.r_[0.0, np.cumsum(np.diff(grid) * (values[1:] + values[:-1]) / 2.0)]
         self.grid = grid
         self.total = float(cum[-1]) + tail
         self.frac = cum / self.total
@@ -135,10 +309,9 @@ def _grid(upper: float, points: int) -> np.ndarray:
     return grid
 
 
-# One cold confidence cost builds 142 kaiser-exact tables of 256 KB each.
-# It reuses a table within one fixed-step alpha search or at the first
-# probes every such search shares, at most 52 distinct tables later, so 64
-# entries keep every hit.
+# One cold confidence cost builds 20-56 kaiser-exact tables of 256 KB each
+# (56 at lambda = 2183.6, eps = 1.6e-3, where the scan solves 8 of its 23
+# dyadic candidates), so 64 entries keep every hit.
 @functools.lru_cache(maxsize=64)
 def _cdf(window: str, alpha: float | None = None) -> _HalfLineCDF:
     if window == "cosine":
@@ -171,13 +344,8 @@ def kaiser_optimum(confidence: float = 0.95):
 
     Returns (alpha, a).
     """
-    res = scipy.optimize.minimize_scalar(
-        lambda alpha: window_interval("kaiser", confidence, alpha),
-        bounds=(1.2, 4.5),
-        method="bounded",
-        options={"xatol": 1e-6},
-    )
-    return float(res.x), float(res.fun)
+    return _bounded_min(lambda alpha: window_interval("kaiser", confidence, alpha),
+                        1.2, 4.5, xatol=1e-6)
 
 
 def _min_a2_over_delta(alpha: float, confidence: float):
@@ -193,12 +361,8 @@ def _min_a2_over_delta(alpha: float, confidence: float):
             return 1e300
         return a * a / delta
 
-    res = scipy.optimize.minimize_scalar(
-        objective, bounds=(a0 + 1e-9, a_hi), method="bounded",
-        options={"xatol": 1e-7},
-    )
-    a = float(res.x)
-    return float(res.fun), a, cdf.fraction(a) - confidence
+    a, ratio = _bounded_min(objective, a0 + 1e-9, a_hi, xatol=1e-7)
+    return ratio, a, cdf.fraction(a) - confidence
 
 
 def ci_optimize(confidence: float = 0.95):
@@ -210,13 +374,8 @@ def ci_optimize(confidence: float = 0.95):
 
     Returns (alpha, a, delta, a2_over_delta).
     """
-    res = scipy.optimize.minimize_scalar(
-        lambda alpha: _min_a2_over_delta(alpha, confidence)[0],
-        bounds=(2.2, 4.2),
-        method="bounded",
-        options={"xatol": 1e-5},
-    )
-    alpha = float(res.x)
+    alpha, _ = _bounded_min(lambda alpha: _min_a2_over_delta(alpha, confidence)[0],
+                            2.2, 4.2, xatol=1e-5)
     ratio, a, dlt = _min_a2_over_delta(alpha, confidence)
     return alpha, a, dlt, ratio
 
@@ -269,15 +428,12 @@ def _ci_at_fixed_step(kappa: float, confidence: float = 0.95):
         if not positive.size:
             return None
         k = positive[0]
-        return scipy.optimize.brentq(g, march[k], march[k + 1], xtol=1e-12)
+        return _brentq(g, march[k], march[k + 1], xtol=1e-12)
 
     # a root is positive; a large finite sentinel stands for none, because
     # inf confuses the bounded minimizer
-    res = scipy.optimize.minimize_scalar(
-        lambda alpha: smallest_root(alpha) or 1e300,
-        bounds=(2.2, 4.2), method="bounded", options={"xatol": 2e-3},
-    )
-    alpha = float(res.x)
+    alpha, _ = _bounded_min(lambda alpha: smallest_root(alpha) or 1e300,
+                            2.2, 4.2, xatol=2e-3)
     a = smallest_root(alpha)
     return None if a is None else (alpha, a)
 
@@ -328,25 +484,14 @@ def hl_optimize():
 
     Returns (c, constant) with segments = constant * lambda^2 / eps^2.
     """
-    res = scipy.optimize.minimize_scalar(
-        lambda c: _hl_segments(c, 1.0, 1.0),
-        bounds=(0.2, 0.98),
-        method="bounded",
-        options={"xatol": 1e-6},
-    )
-    return float(res.x), float(res.fun)
+    return _bounded_min(lambda c: _hl_segments(c, 1.0, 1.0), 0.2, 0.98, xatol=1e-6)
 
 
 @functools.cache
 def _hl_peak() -> float:
     """Capping fraction of the largest i2 i1, so of the largest lambda t."""
-    res = scipy.optimize.minimize_scalar(
-        lambda c: -math.prod(_hl_integrals(c)),
-        bounds=(0.05, 0.99),
-        method="bounded",
-        options={"xatol": 1e-7},
-    )
-    return float(res.x)
+    c, _ = _bounded_min(lambda c: -math.prod(_hl_integrals(c)), 0.05, 0.99, xatol=1e-7)
+    return c
 
 
 def _hl_at_fixed_step(target: float):
@@ -366,8 +511,62 @@ def _hl_at_fixed_step(target: float):
         return None
     for lo, hi in ((c_peak, 0.995), (0.02, c_peak)):
         if f(lo) * f(hi) <= 0:
-            return scipy.optimize.brentq(f, lo, hi, xtol=1e-12)
+            return _brentq(f, lo, hi, xtol=1e-12)
     return None
+
+
+def _interval_mode(mode: str, lam: float, eps: float):
+    """(method, n_ideal, lam_t_ideal, ideal fields, solve) of an interval mode.
+
+    n_ideal and lam_t_ideal are the free optimum's segment count and step;
+    solve maps a pinned step lambda*t to (segments, window fields), or None
+    when no window realizes it.
+    """
+    if mode == "confidence":
+        alpha0, a0, delta0, ratio = ci_optimize()
+        lam_t_ideal = eps * delta0 / (lam * a0)
+
+        def solve(lam_t):
+            got = _ci_at_fixed_step(lam * lam_t / eps)
+            if got is None:
+                return None
+            alpha, a = got
+            return a * lam / (eps * lam_t), {"alpha": alpha, "a": a}
+
+        return ("qdrift-confidence", ratio * lam * lam / (eps * eps), lam_t_ideal,
+                {"alpha_ideal": alpha0, "delta_ideal": delta0}, solve)
+    if mode == "hodges_lehmann":
+        c0, constant = hl_optimize()
+        i2, i1 = _hl_integrals(c0)
+        lam_t_ideal = 2.0 * math.sqrt(3.0) * eps * i2 * i1 / lam
+
+        def solve(lam_t):
+            c = _hl_at_fixed_step(lam * lam_t / (2.0 * math.sqrt(3.0) * eps))
+            return None if c is None else (_hl_segments(c, lam, eps), {"c": c})
+
+        return ("qdrift-hl", constant * lam * lam / (eps * eps), lam_t_ideal,
+                {"c_ideal": c0}, solve)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def _best_step(n_ideal: float, lam_t_ideal: float, solve):
+    """Dyadic step with the fewest Toffolis, segments * (j + 1), as
+    (toffolis, m, j, lam_t, segments, fields), or None when none is solved.
+
+    The earliest candidate wins a tie.  No pinned step needs fewer segments
+    than the free optimum n_ideal (less 1e-9 for the optimizers'
+    tolerances), so once n_ideal (1 - 1e-9) (j + 1) reaches the best count,
+    no candidate from there on (they come sorted by j) can beat it, and
+    none is solved.
+    """
+    best = None
+    for m, j, lam_t in _dyadic_candidates(lam_t_ideal):
+        if best is not None and n_ideal * (1.0 - 1e-9) * (j + 1) >= best[0]:
+            break
+        got = solve(lam_t)
+        if got is not None and (best is None or got[0] * (j + 1) < best[0]):
+            best = (got[0] * (j + 1), m, j, lam_t, *got)
+    return best
 
 
 def cost_qdrift(lam: float, eps: float, N: int | None = None,
@@ -409,42 +608,11 @@ def cost_qdrift(lam: float, eps: float, N: int | None = None,
                             extras={"n_exp": n_exp, "rotation_bits": q},
                             rotations=q - 1)
 
-    # Each interval mode gives its ideal step and a solver that maps a pinned
-    # step to (segments, window fields), or None when no window realizes it.
-    if mode == "confidence":
-        alpha0, a0, delta0, ratio = ci_optimize()
-        method = "qdrift-confidence"
-        n_ideal = ratio * lam * lam / (eps * eps)
-        lam_t_ideal = eps * delta0 / (lam * a0)
-        ideal = {"alpha_ideal": alpha0, "delta_ideal": delta0}
-
-        def solve(lam_t):
-            got = _ci_at_fixed_step(lam * lam_t / eps)
-            if got is None:
-                return None
-            alpha, a = got
-            return a * lam / (eps * lam_t), {"alpha": alpha, "a": a}
-    elif mode == "hodges_lehmann":
-        c0, constant = hl_optimize()
-        method = "qdrift-hl"
-        n_ideal = constant * lam * lam / (eps * eps)
-        i2, i1 = _hl_integrals(c0)
-        lam_t_ideal = 2.0 * math.sqrt(3.0) * eps * i2 * i1 / lam
-        ideal = {"c_ideal": c0}
-
-        def solve(lam_t):
-            c = _hl_at_fixed_step(lam * lam_t / (2.0 * math.sqrt(3.0) * eps))
-            return None if c is None else (_hl_segments(c, lam, eps), {"c": c})
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    # fewest Toffolis, segments * (j + 1); the earliest candidate wins a tie
-    solved = [(got[0] * (j + 1), m, j, lam_t, *got)
-              for m, j, lam_t in _dyadic_candidates(lam_t_ideal)
-              if (got := solve(lam_t)) is not None]
-    if not solved:
+    method, n_ideal, lam_t_ideal, ideal, solve = _interval_mode(mode, lam, eps)
+    best = _best_step(n_ideal, lam_t_ideal, solve)
+    if best is None:
         raise ValueError(f"no dyadic angle admits a {mode} solution")
-    _, m, j, lam_t, segments, fields = min(solved, key=lambda s: s[0])
+    _, m, j, lam_t, segments, fields = best
     qubits = 0 if N is None else (
         N + 2 * j + 2 * math.ceil(math.log2(segments + 1.0)) - 2)
     return build_report(

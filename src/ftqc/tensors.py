@@ -173,11 +173,6 @@ def count_unique_above(V: np.ndarray, threshold: float) -> int:
     return int(np.count_nonzero(np.abs(V[tuple(orbits.T)]) > threshold))
 
 
-def dense_unique_count(n: int) -> int:
-    """Closed-form count of symmetry-unique two-body entries, n(n+1)(n^2+n+2)/8."""
-    return n * (n + 1) * (n * n + n + 2) // 8
-
-
 def random_instance(
     n_spatial: int, seed: int, rank: int | None = None
 ) -> IntegralData:

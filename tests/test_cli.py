@@ -445,6 +445,55 @@ def test_cost_usage_error_exit_code(runner):
     assert result.exit_code == 2
 
 
+_THC_POINT = ["--method", "thc", "--N", "108", "--M", "350", "--lambda", "306.3"]
+_DF_POINT = ["--method", "df", "--N", "108", "--L", "360", "--xi-total", "13031",
+             "--lambda", "294.8"]
+
+
+# every size and bit width a cost flag sets; 0 exited 0 with a report, and
+# -5 named an internal helper
+@pytest.mark.parametrize("point, flag, value", [
+    (_THC_POINT, "--M", "0"),
+    (_THC_POINT, "--M", "-5"),
+    (["--method", "sparse", "--N", "108", "--d", "705831", "--lambda", "2135.3"],
+     "--d", "0"),
+    (["--method", "sf", "--N", "108", "--L", "200", "--lambda", "4258.0"], "--L", "0"),
+    (_DF_POINT, "--xi-total", "0"),
+    (_DF_POINT, "--xi-max", "0"),
+    (_THC_POINT, "--aleph", "0"),
+    (_DF_POINT, "--aleph1", "-2"),
+    (_DF_POINT, "--aleph2", "0"),
+    (_THC_POINT, "--beth", "0"),
+    (_DF_POINT, "--beth", "-3"),
+    (_THC_POINT, "--br", "0"),
+], ids=lambda v: v if isinstance(v, str) else v[1])
+def test_cost_size_flag_must_be_positive(runner, point, flag, value):
+    result = runner.invoke(main, ["cost", *point, flag, value])
+    assert result.exit_code == 1, _text(result)
+    assert result.stderr == f"error: {flag} must be a positive integer, got {value}\n"
+
+
+@pytest.mark.parametrize("args", [
+    # each input here would fail on its own: the output must fail first
+    ["factorize", "{bad_fcidump}", "--method", "sparse", "--threshold", "0.01"],
+    ["cost", "--method", "all", "--from-reps", "{bad_reps}"],
+    ["layout", "--toffoli", "nan", "--tiles", "1908"],
+], ids=["factorize", "cost", "layout"])
+@pytest.mark.parametrize("output", ["missing/dir/x.json", "."])
+def test_output_checked_before_any_work(runner, tmp_path, args, output):
+    bad_fcidump = tmp_path / "FCIDUMP"
+    bad_fcidump.write_text("&FCI NORB=1,\n&END\n1.0 1 1 1 x\n")
+    bad_reps = tmp_path / "reps"
+    bad_reps.mkdir()
+    (bad_reps / "rep.json").write_text("[]")
+    args = [a.format(bad_fcidump=bad_fcidump, bad_reps=bad_reps) for a in args]
+    result = runner.invoke(main, [*args, "-o", str(tmp_path / output)])
+    assert result.exit_code == 1, _text(result)
+    assert result.stderr.startswith("error: output "), _text(result)
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert not (tmp_path / "missing").exists()
+
+
 def test_layout_tile_budget(runner):
     result = runner.invoke(main, [
         "layout", "--toffoli", "6.7e9", "--tiles", "1908", "--p", "1e-3",
@@ -501,9 +550,9 @@ def test_verify_needs_selection(runner):
     assert "choose --suite or --all" in _text(result)
 
 
-# Solver subpackages that only THC fitting and the qDRIFT interval modes
-# need.  The bare scipy package is imported by ftqc.qdrift, so the check is
-# on these submodules, not on "scipy".
+# Solver subpackages that only THC fitting needs.  THC fitting imports
+# scipy.optimize, which pulls in the bare scipy package, so the check is on
+# these submodules, not on "scipy".
 _SOLVERS = ("scipy.integrate", "scipy.optimize", "scipy.linalg")
 
 # Runs one command in a fresh interpreter (CliRunner shares this process,
@@ -557,7 +606,7 @@ def _solvers_loaded(args, cwd):
 ], ids=lambda args: " ".join(args[:4]) or "import")
 def test_command_loads_no_solver_it_does_not_run(request, tmp_path, args):
     # importing ftqc.cli must not pull in scipy's solvers: only the commands
-    # that fit THC factors or size a qDRIFT interval pay for them
+    # that fit THC factors pay for them
     fill = {}
     if "{fcidump}" in args:
         fill["fcidump"] = str(request.getfixturevalue("fcidump_file"))
@@ -567,9 +616,17 @@ def test_command_loads_no_solver_it_does_not_run(request, tmp_path, args):
     assert _solvers_loaded(args, tmp_path) == []
 
 
-def test_qdrift_interval_mode_loads_its_solvers(tmp_path):
+@pytest.mark.parametrize("mode", ["confidence", "hodges_lehmann"])
+def test_qdrift_interval_mode_loads_no_solver(tmp_path, mode):
+    # the interval modes run their own Brent solvers and tail quadrature
+    # (rms is a case of the test above)
+    assert _solvers_loaded(["cost", "--method", "qdrift", "--lambda", "2183.6",
+                            "--eps", "0.0016", "--N", "108", "--mode", mode],
+                           tmp_path) == []
+
+
+def test_thc_fit_loads_its_solver(tmp_path, fcidump_file):
     # positive control for the probe above
-    loaded = _solvers_loaded(["cost", "--method", "qdrift", "--lambda", "2183.6",
-                              "--eps", "0.0016", "--N", "108", "--mode", "confidence"],
-                             tmp_path)
-    assert "scipy.integrate" in loaded and "scipy.optimize" in loaded
+    loaded = _solvers_loaded(["factorize", str(fcidump_file), "--method", "thc",
+                              "--rank", "4", "--starts", "1"], tmp_path)
+    assert "scipy.optimize" in loaded

@@ -110,6 +110,17 @@ def test_cost_params_validation():
         costs.cost_df(CostParams(N=4, lam=1.0, L=10))
 
 
+@pytest.mark.parametrize("field", costs.POSITIVE_FIELDS)
+def test_cost_params_sizes_are_positive_integers(field):
+    for value in (0, -3, 2.5, 1e9):
+        with pytest.raises(costs.FieldError,
+                           match=f"^{field} must be a positive integer, got ") as err:
+            CostParams(N=4, lam=1.0, **{field: value})
+        assert (err.value.field, err.value.value) == (field, value)
+    for value in (1, np.int64(7)):
+        assert getattr(CostParams(N=4, lam=1.0, **{field: value}), field) == value
+
+
 def test_k_override_must_be_power_of_two():
     params = CostParams(N=108, lam=306.3, M=350, aleph=10, beth=16)
     with pytest.raises(ValueError, match="power of two"):

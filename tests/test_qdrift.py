@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, optimize
 
 from ftqc import qdrift
@@ -272,8 +274,9 @@ _PARENT_REPORTS = json.loads(
 @pytest.mark.parametrize("case", _PARENT_REPORTS,
                          ids=lambda c: f"{c['lambda']}-{c['eps']}-{c['mode']}")
 def test_cost_qdrift_pinned_reports(case):
-    # reports of the direct-quadrature implementation: rms and confidence
-    # unchanged to the bit, capped-density floats to summation order
+    # rms reports of the direct-quadrature implementation unchanged to the
+    # bit, capped-density floats to summation order; the confidence reports
+    # are those of the numpy tail rule, also to the bit
     got = qdrift.cost_qdrift(case["lambda"], case["eps"], N=case["N"],
                              mode=case["mode"]).to_dict()
     rel = 1e-10 if case["mode"] == "hodges_lehmann" else 0.0
@@ -293,13 +296,144 @@ def test_cost_qdrift_pinned_reports(case):
 
 
 def test_import_leaves_tables_unbuilt():
-    code = ("import ftqc.cli, ftqc.qdrift as q; "
+    # nor loads scipy, or numpy.polynomial, which the tail rule's nodes load
+    # on first use
+    code = ("import sys, ftqc.cli, ftqc.qdrift as q; "
             "print([f.cache_info().currsize for f in "
-            "(q._grid, q._cdf, q._hl_table, q._hl_peak)])")
+            "(q._grid, q._cdf, q._hl_table, q._hl_peak, q._tail_rule)], "
+            "[m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "or m.startswith('numpy.polynomial')])")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[0,", "0,", "0,", "0]"]
+    assert proc.stdout.split() == ["[0,", "0,", "0,", "0,", "0]", "[]"]
+
+
+# --- the numpy solvers against the SciPy routines they repeat step for step
+
+
+def _scipy_min(f, lo, hi, xatol, maxiter=500):
+    res = optimize.minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                                   options={"xatol": xatol, "maxiter": maxiter})
+    return float(res.x), float(res.fun)
+
+
+@pytest.mark.parametrize("f, lo, hi, xatol", [
+    (lambda alpha: qdrift.window_interval("kaiser", 0.95, alpha), 1.2, 4.5, 1e-6),
+    (lambda alpha: qdrift._min_a2_over_delta(alpha, 0.95)[0], 2.2, 4.2, 1e-5),
+    (lambda c: qdrift._hl_segments(c, 1.0, 1.0), 0.2, 0.98, 1e-6),
+    (lambda c: -math.prod(qdrift._hl_integrals(c)), 0.05, 0.99, 1e-7),
+    (lambda x: (x - 0.3) ** 2, -1.0, 2.0, 1e-9),
+    (lambda x: abs(x - 1.7), 0.0, 5.0, 1e-8),
+    (lambda x: math.sin(3.0 * x) + 0.1 * x, -2.0, 4.0, 1e-6),
+    (lambda x: 1.0, 0.0, 1.0, 1e-6),  # flat
+    (lambda x: -x, 0.0, 1.0, 1e-6),  # minimum at the upper bound
+], ids=["kaiser-width", "a2-over-delta", "hl-segments", "hl-peak", "parabola",
+        "kink", "oscillating", "flat", "edge"])
+def test_bounded_min_matches_scipy(f, lo, hi, xatol):
+    assert qdrift._bounded_min(f, lo, hi, xatol) == _scipy_min(f, lo, hi, xatol)
+
+
+def test_bounded_min_iteration_cap_matches_scipy():
+    f = lambda x: math.cos(5.0 * x) * math.exp(-x * x)  # noqa: E731
+    for maxiter in (1, 2, 3, 5, 8):
+        assert (qdrift._bounded_min(f, -3.0, 3.0, 1e-9, maxiter=maxiter)
+                == _scipy_min(f, -3.0, 3.0, 1e-9, maxiter))
+
+
+def test_brentq_matches_scipy():
+    c_peak = qdrift._hl_peak()
+    target = 0.9 * math.prod(qdrift._hl_integrals(c_peak))
+    hl = lambda c: math.prod(qdrift._hl_integrals(c)) - target  # noqa: E731
+    cdf = qdrift._cdf("kaiser-exact", 3.0)
+    ci = lambda a: np.interp(a, cdf.grid, cdf.frac) - 0.95 - 0.002 * a  # noqa: E731
+    cases = [
+        (hl, c_peak, 0.995, 1e-12), (hl, 0.02, c_peak, 1e-12),
+        (ci, cdf.quantile(0.95), cdf.quantile(0.99), 1e-12),
+        (lambda x: x**3 - 2.0, 0.0, 3.0, 1e-12), (lambda x: math.tanh(x - 0.4), -4.0, 4.0, 1e-6),
+        (lambda x: x - 1.0, 1.0, 3.0, 1e-12),  # root at the lower end
+        (lambda x: x - 3.0, 1.0, 3.0, 1e-12),  # root at the upper end
+        (lambda x: 0.0 if abs(x) < 0.5 else x, -2.0, 3.0, 1e-12),  # flat at the root
+    ]
+    for f, a, b, xtol in cases:
+        assert qdrift._brentq(f, a, b, xtol=xtol) == optimize.brentq(f, a, b, xtol=xtol)
+
+
+def test_brentq_iteration_cap_and_sign_match_scipy():
+    f = lambda x: math.exp(x) - 2.0  # noqa: E731
+    for maxiter in (1, 2, 3, 4):
+        want = optimize.brentq(f, -2.0, 3.0, xtol=1e-14, maxiter=maxiter, disp=False)
+        with pytest.raises(RuntimeError, match="no convergence") as err:
+            qdrift._brentq(f, -2.0, 3.0, xtol=1e-14, maxiter=maxiter)
+        assert float(str(err.value).rsplit("= ", 1)[1]) == want
+    with pytest.raises(ValueError, match="different signs"):
+        qdrift._brentq(f, 1.0, 3.0, xtol=1e-12)
+
+
+# --- the tail rule
+
+
+def _quad_kaiser_tail(T, alpha):
+    y0 = math.sqrt(T * T - alpha * alpha)
+    nonosc = 0.5 / alpha * math.log((alpha + math.hypot(y0, alpha)) / y0)
+    osc, _ = integrate.quad(lambda y: 1.0 / (2.0 * y * math.hypot(y, alpha)),
+                            y0, np.inf, weight="cos", wvar=2.0)
+    return nonosc - osc
+
+
+def test_tails_match_quad():
+    for alpha in np.linspace(1.2, 7.99, 25):
+        got = qdrift._kaiser_tail(qdrift._GRID_MAX, float(alpha))
+        assert abs(got - _quad_kaiser_tail(qdrift._GRID_MAX, float(alpha))) < 1e-10
+    rational = lambda w: 1.0 / (4.0 * w * w - math.pi**2) ** 2  # noqa: E731
+    T = qdrift._GRID_MAX
+    want = 4.0 * math.pi * (
+        integrate.quad(rational, T, np.inf)[0]
+        + integrate.quad(rational, T, np.inf, weight="cos", wvar=2.0)[0])
+    assert abs(qdrift._cosine_tail(T) - want) < 1e-10
+
+
+def test_tails_match_high_precision_reference():
+    # 30-digit mpmath values: Gauss-Legendre panels of pi/2 to y0 + 200 pi,
+    # then ten integration-by-parts terms (quad is off by 2e-11 to 7e-11
+    # here, and by 9e-7 relative on the cosine tail)
+    for alpha, want in ((2.2, 0.031661679268361425284), (4.2, 0.031429514760889616055)):
+        assert abs(qdrift._kaiser_tail(16.0, alpha) - want) < 1e-16
+    assert qdrift._cosine_tail(16.0) == pytest.approx(6.198349441077263678e-05,
+                                                      rel=1e-13, abs=0.0)
+
+
+def test_tail_rule_converged(monkeypatch):
+    # doubling the cut-off distance and the nodes per panel moves no tail
+    # integral by more than 1e-16
+    T = qdrift._GRID_MAX
+    alphas = [float(alpha) for alpha in np.linspace(1.2, 7.99, 12)]
+    coarse = [qdrift._kaiser_tail(T, alpha) for alpha in alphas]
+    coarse_cosine = qdrift._cosine_tail(T)
+    monkeypatch.setattr(qdrift, "_TAIL_PANELS", 2 * qdrift._TAIL_PANELS)
+    monkeypatch.setattr(qdrift, "_TAIL_NODES", 2 * qdrift._TAIL_NODES)
+    for alpha, want in zip(alphas, coarse):
+        assert abs(qdrift._kaiser_tail(T, alpha) - want) <= 1e-16
+    assert abs(qdrift._cosine_tail(T) - coarse_cosine) <= 1e-16
+
+
+# --- the pruned dyadic scan
+
+
+@settings(max_examples=12)
+@given(log_lam=st.floats(1.0, 5.0), log_eps=st.floats(-4.0, -2.0),
+       mode=st.sampled_from(["confidence", "hodges_lehmann"]))
+@example(log_lam=math.log10(2183.6), log_eps=math.log10(0.0016), mode="confidence")
+@example(log_lam=1.0, log_eps=-2.0, mode="confidence")
+def test_pruned_scan_matches_full_scan(log_lam, log_eps, mode):
+    lam, eps = 10.0**log_lam, 10.0**log_eps
+    _, n_ideal, lam_t_ideal, _, solve = qdrift._interval_mode(mode, lam, eps)
+    full = [(got[0] * (j + 1), m, j, lam_t, *got)
+            for m, j, lam_t in qdrift._dyadic_candidates(lam_t_ideal)
+            if (got := solve(lam_t)) is not None]
+    # the bound the pruning rests on: no pinned step beats the free optimum
+    assert all(s[4] >= n_ideal * (1.0 - 1e-9) for s in full)
+    assert qdrift._best_step(n_ideal, lam_t_ideal, solve) == min(full, key=lambda s: s[0])

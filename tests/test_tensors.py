@@ -16,10 +16,15 @@ def _images(p, q, r, s):
     }
 
 
+def _dense_unique_count(n):
+    """Symmetry-unique two-body entries of a dense n-orbital tensor."""
+    return n * (n + 1) * (n * n + n + 2) // 8
+
+
 def test_orbit_helpers():
     for n in range(1, 8):
         orbits = tensors.unique_orbits(n)
-        assert orbits.shape == (tensors.dense_unique_count(n), 4)
+        assert orbits.shape == (_dense_unique_count(n), 4)
         assert len({tuple(row) for row in orbits.tolist()}) == len(orbits)
         # every row is its orbit's smallest image, so canonical
         assert all(tuple(row) == min(_images(*row)) for row in orbits.tolist())
@@ -112,11 +117,11 @@ def test_count_unique_dense_and_zero():
     # dense tensor with no accidental zeros hits the closed form
     V = tensors.symmetrize_eightfold(rng.uniform(1.0, 2.0, size=(2, 2, 2, 2)))
     assert tensors.count_unique_above(V, 0.0) == 6
-    assert tensors.dense_unique_count(2) == 6
+    assert _dense_unique_count(2) == 6
     assert tensors.count_unique_above(np.zeros((3, 3, 3, 3)), 0.0) == 0
     for n in range(1, 7):
         W = tensors.symmetrize_eightfold(rng.uniform(1.0, 2.0, size=(n,) * 4))
-        assert tensors.count_unique_above(W, 0.0) == tensors.dense_unique_count(n)
+        assert tensors.count_unique_above(W, 0.0) == _dense_unique_count(n)
 
 
 def test_count_unique_matches_brute_force():
