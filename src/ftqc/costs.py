@@ -75,11 +75,6 @@ def contiguous_register_cost(n_bits: int) -> int:
     return n * n + n - 1
 
 
-def _default_beth(lam: float) -> int:
-    """Rotation bits used by the published operating points, floor(2 log2 lam)."""
-    return int(math.floor(2.0 * math.log2(lam)))
-
-
 def minimize_over_k(domain, term):
     """Best power-of-two batching for a lookup cost term, as (k, value).
 
@@ -101,11 +96,12 @@ def minimize_over_k(domain, term):
 
 
 class FieldError(ValueError):
-    """A CostParams size or bit width that is not a positive integer."""
+    """A CostParams size or bit width that is not a positive integer, or a
+    defaulted beth that does not come to one."""
 
-    def __init__(self, field: str, value):
+    def __init__(self, field: str, value, problem: str | None = None):
         self.field, self.value = field, value
-        self.problem = f"must be a positive integer, got {value!r}"
+        self.problem = problem or f"must be a positive integer, got {value!r}"
         super().__init__(f"{field} {self.problem}")
 
 
@@ -233,6 +229,18 @@ def _resolve_k(overrides: dict, roles: dict) -> tuple[dict, dict]:
     return ks, values
 
 
+def _beth(params: CostParams) -> int:
+    """Rotation bits: beth as given, else floor(2 log2 lambda) as at the
+    published operating points, which must come to at least 1."""
+    if params.beth is not None:
+        return params.beth
+    beth = int(math.floor(2.0 * math.log2(params.lam)))
+    if beth < 1:
+        raise FieldError("beth", beth, f"defaults to floor(2 log2 lambda) = {beth} "
+                         f"at lambda = {params.lam!r}; set a positive integer")
+    return beth
+
+
 def _walk_inputs(params: CostParams, **sizes) -> dict:
     return {"N": params.N, "lambda": params.lam, "eps_pea": params.eps_pea, **sizes}
 
@@ -247,7 +255,7 @@ def cost_thc(params: CostParams, k_overrides: dict | None = None) -> CostReport:
         raise ValueError("cost_thc needs M")
     N, M, b_r = params.N, int(params.M), params.b_r
     aleph = 10 if params.aleph is None else params.aleph
-    beth = _default_beth(params.lam) if params.beth is None else params.beth
+    beth = _beth(params)
 
     n_M = ceil_log2(M + 1)
     d = N // 2 + M * (M + 1) // 2
@@ -403,7 +411,7 @@ def cost_df(params: CostParams, k_overrides: dict | None = None) -> CostReport:
     N, L, X, b_r = params.N, int(params.L), int(params.Xi_total), params.b_r
     aleph1 = 10 if params.aleph1 is None else params.aleph1
     aleph2 = 10 if params.aleph2 is None else params.aleph2
-    beth = _default_beth(params.lam) if params.beth is None else params.beth
+    beth = _beth(params)
     Xi_max = N // 2 if params.Xi_max is None else int(params.Xi_max)
     eta = two_adic_valuation(L)
 

@@ -15,24 +15,28 @@ step count, split into one-body and two-body parts, plus the identity shift
 its block encoding discards.  The shift formulas here are the single source
 of truth for the spectrum checks in :mod:`ftqc.verify`.
 
-Every representation class owns its per-kind behaviour through one
-protocol: a ``kind`` name, the cost-model size fields it declares in
-``size_fields`` (read back by :meth:`sizes`), the factorize options it
-declares in ``options`` (name -> :class:`Option`), the
-``factorize(data, Tprime, **options)`` classmethod that builds it, its cost
-model ``cost(params)``, ``lambda_report(Tprime)``, ``encoded_terms(Tprime)``,
-``to_dict()`` and the ``from_dict`` classmethod.  The kind -> class registry
-:data:`REP_KINDS` is the only place the four kinds are listed; the command
-line, the cost dispatch and :func:`rep_from_dict` all read it, and nothing
-dispatches on representation type.
-SF and DF share the squared-one-body algebra and differ only in how the
-one-body and factor norms are taken: entrywise for SF, Schatten for DF.
+Every representation class shares one protocol, written once in ``_Rep``.
+A kind supplies only its data: a ``kind`` name, the cost-model sizes it
+declares in ``size_fields``, its factorize ``options`` (name ->
+:class:`Option`), the ``factorize(data, Tprime, **options)`` classmethod,
+``dense()`` (the tensor V^ its block encoding realizes), ``_lambda_two()``,
+``_summary()`` (its truncation record, by default ``sizes()``), its arrays
+in ``to_dict``, ``from_dict``, and two flags: ``rotates_one_body`` (DF, THC:
+lambda_1 is the Schatten norm of T', else the entrywise one) and ``centred``
+(SF, DF: lambda_2 joins the shift).  From these ``_Rep`` computes
+``lambda_report(Tprime)``, ``encoded_terms(Tprime)`` (one-body correction
+sum_r V^_pqrr, shift tr T' - (1/2) sum V^_pprr), the cost model
+``cost(params)`` (``costs.cost_<kind>``) and the ``to_dict`` header.
+:data:`REP_KINDS` (kind -> class) is the only place the four kinds are
+listed; the command line, the cost dispatch and :func:`rep_from_dict` read
+it, and nothing dispatches on representation type.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -103,24 +107,71 @@ def _pair_matrix(chi: np.ndarray) -> np.ndarray:
     return (chi[:, None, :] * chi[None, :, :]).reshape(n * n, M)
 
 
+def _hypercontract(chi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
+    """E zeta E^T, the (n^2, n^2) matrix of the hypercontracted tensor.
+
+    Works through the (n^2, M) intermediate so the cost is O(n^2 M^2 + n^4 M),
+    never materializing an (M, n^4) object.
+    """
+    E = _pair_matrix(chi)
+    return E @ zeta @ E.T
+
+
 class Option(NamedTuple):
-    """A factorize option: how to read it, its default, whether it is required."""
+    """A factorize option: how to read it, its default, whether it is
+    required, and the least value it takes."""
 
     cast: type
     default: object = None
     required: bool = False
+    minimum: float | None = None
+
+    def problem(self, value) -> str | None:
+        """Why a set value is below minimum or not finite, else None."""
+        if value is not None and self.minimum is not None and not (
+                math.isfinite(value) and value >= self.minimum):
+            kind = "an integer" if self.cast is int else "a finite number"
+            return f"must be {kind} >= {self.minimum:g}, got {value!r}"
 
 
 class _Rep:
-    """Members every representation kind shares."""
+    """The protocol every representation kind shares (see the module doc)."""
 
     kind: str
     size_fields: tuple[str, ...]
     options: dict[str, Option]
+    rotates_one_body = False
+    centred = False
 
     def sizes(self) -> dict:
         """The cost-model sizes, keyed by field name in declaration order."""
         return {name: getattr(self, name) for name in self.size_fields}
+
+    def _summary(self) -> dict:
+        return self.sizes()
+
+    @classmethod
+    def cost(cls, params: costs.CostParams) -> costs.CostReport:
+        return getattr(costs, f"cost_{cls.kind}")(params)
+
+    def lambda_report(self, Tprime: np.ndarray) -> LambdaReport:
+        norm = _schatten_norm if self.rotates_one_body else _entrywise_norm
+        return LambdaReport(self.kind, norm(Tprime), self._lambda_two(),
+                            self._summary())
+
+    def encoded_terms(self, Tprime: np.ndarray) -> EncodedOperator:
+        Tprime = np.asarray(Tprime, dtype=float)
+        Vt = self.dense()
+        shift = float(np.trace(Tprime)) - 0.5 * float(np.einsum("pprr->", Vt))
+        if self.centred:
+            # Each squared one-body factor is PSD, so the walk encodes it
+            # centred: the half-range lambda_two joins the discarded identity.
+            shift += self._lambda_two()
+        return EncodedOperator(one_body=Tprime - np.einsum("pqrr->pq", Vt),
+                               two_body=Vt, shift=shift)
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "n_spatial": self.n_spatial, **self._summary()}
 
     @classmethod
     def _invalid(cls, message: str) -> ValueError:
@@ -146,7 +197,7 @@ class SparseRep(_Rep):
 
     kind = "sparse"
     size_fields = ("d",)
-    options = {"threshold": Option(float, required=True)}
+    options = {"threshold": Option(float, required=True, minimum=0.0)}
 
     n_spatial: int
     indices: np.ndarray
@@ -179,10 +230,6 @@ class SparseRep(_Rep):
     def factorize(cls, data: IntegralData, Tprime: np.ndarray, threshold: float):
         return sparse_truncate(data, Tprime, threshold)[0], {}
 
-    @staticmethod
-    def cost(params: costs.CostParams) -> costs.CostReport:
-        return costs.cost_sparse(params)
-
     @property
     def d(self) -> int:
         return self.values.size + self.n_spatial * (self.n_spatial + 1) // 2
@@ -191,26 +238,17 @@ class SparseRep(_Rep):
         """Expand the stored orbits back to a full 8-fold-symmetric tensor."""
         return scatter_eightfold(self.n_spatial, self.indices, self.values)
 
-    def lambda_report(self, Tprime: np.ndarray) -> LambdaReport:
-        """lambda_1 = sum_pq |T'_pq|; lambda_2 is half the entrywise norm of
-        the truncated tensor over all n^4 positions."""
-        return LambdaReport(self.kind, _entrywise_norm(Tprime),
-                            0.5 * _entrywise_norm(self.dense()),
-                            {"threshold": self.threshold, "d": self.d})
+    def _lambda_two(self) -> float:
+        """Half the entrywise norm of the truncated tensor, all n^4 positions."""
+        return 0.5 * _entrywise_norm(self.dense())
 
-    def encoded_terms(self, Tprime: np.ndarray) -> EncodedOperator:
-        Tprime = np.asarray(Tprime, dtype=float)
-        Vt = self.dense()
-        B = np.einsum("pqrr->pq", Vt)
-        shift = float(np.trace(Tprime)) - 0.5 * float(np.einsum("pprr->", Vt))
-        return EncodedOperator(one_body=Tprime - B, two_body=Vt, shift=shift)
+    def _summary(self) -> dict:
+        return {"threshold": self.threshold, "d": self.d}
 
     def to_dict(self) -> dict:
         rows = np.column_stack([self.indices.astype(object),
                                 self.values.astype(object)])
-        return {"kind": self.kind, "n_spatial": self.n_spatial,
-                "threshold": self.threshold, "d": self.d,
-                "entries": rows.tolist()}
+        return {**super().to_dict(), "entries": rows.tolist()}
 
     @classmethod
     def from_dict(cls, payload: dict) -> SparseRep:
@@ -236,30 +274,18 @@ class _SquaredOneBody(_Rep):
     block encoding prepares it (_factor_norms).
     """
 
+    centred = True
+
     def _lambda_two(self) -> float:
         """(1/4) sum_l (1-norm of W_l)^2: the recentred squared blocks."""
         return 0.25 * float(sum(norm ** 2 for norm in self._factor_norms()))
 
-    def reconstruct(self) -> np.ndarray:
+    def dense(self) -> np.ndarray:
         n = self.n_spatial
         V = np.zeros((n, n, n, n))
         for W in self._factors():
             V += np.einsum("pq,rs->pqrs", W, W)
         return V
-
-    def encoded_terms(self, Tprime: np.ndarray) -> EncodedOperator:
-        Tprime = np.asarray(Tprime, dtype=float)
-        D = np.zeros((self.n_spatial, self.n_spatial))
-        trace_sq = 0.0
-        for W in self._factors():
-            tw = float(np.trace(W))
-            D += tw * W
-            trace_sq += tw * tw
-        # Each squared one-body factor is PSD, so the walk encodes it centered:
-        # the half-range lambda_two joins the discarded identity.
-        shift = float(np.trace(Tprime)) - 0.5 * trace_sq + self._lambda_two()
-        return EncodedOperator(
-            one_body=Tprime - D, two_body=self.reconstruct(), shift=shift)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -273,7 +299,8 @@ class SFRep(_SquaredOneBody):
 
     kind = "sf"
     size_fields = ("L",)
-    options = {"target_l": Option(int), "tolerance": Option(float)}
+    options = {"target_l": Option(int, minimum=1),
+               "tolerance": Option(float, minimum=0.0)}
 
     n_spatial: int
     Ws: tuple
@@ -282,10 +309,6 @@ class SFRep(_SquaredOneBody):
     def factorize(cls, data: IntegralData, Tprime: np.ndarray,
                   target_l: int | None, tolerance: float | None):
         return single_factorize(data, target_L=target_l, tolerance=tolerance), {}
-
-    @staticmethod
-    def cost(params: costs.CostParams) -> costs.CostReport:
-        return costs.cost_sf(params)
 
     @property
     def L(self) -> int:
@@ -297,15 +320,8 @@ class SFRep(_SquaredOneBody):
     def _factor_norms(self):
         return (np.sum(np.abs(W)) for W in self.Ws)
 
-    def lambda_report(self, Tprime: np.ndarray) -> LambdaReport:
-        """lambda_1 is the entrywise 1-norm of T'; lambda_2 is
-        (1/4) sum_l (sum_pq |W^l_pq|)^2."""
-        return LambdaReport(self.kind, _entrywise_norm(Tprime),
-                            self._lambda_two(), {"L": self.L})
-
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "n_spatial": self.n_spatial, "L": self.L,
-                "Ws": [W.tolist() for W in self.Ws]}
+        return {**super().to_dict(), "Ws": [W.tolist() for W in self.Ws]}
 
     @classmethod
     def from_dict(cls, payload: dict) -> SFRep:
@@ -326,7 +342,9 @@ class DFRep(_SquaredOneBody):
 
     kind = "df"
     size_fields = ("L", "Xi_total")
-    options = {"threshold": Option(float, required=True), "target_l": Option(int)}
+    options = {"threshold": Option(float, required=True, minimum=0.0),
+               "target_l": Option(int, minimum=1)}
+    rotates_one_body = True
 
     n_spatial: int
     fs: tuple
@@ -345,10 +363,6 @@ class DFRep(_SquaredOneBody):
                   target_l: int | None):
         return double_factorize(single_factorize(data, target_L=target_l), threshold), {}
 
-    @staticmethod
-    def cost(params: costs.CostParams) -> costs.CostReport:
-        return costs.cost_df(params)
-
     @property
     def L(self) -> int:
         return len(self.fs)
@@ -357,10 +371,6 @@ class DFRep(_SquaredOneBody):
     def Xi_total(self) -> int:
         return int(sum(len(f) for f in self.fs))
 
-    @property
-    def Xi_avg(self) -> float:
-        return self.Xi_total / self.L if self.L else 0.0
-
     def _factors(self):
         return [(U * f) @ U.T for f, U in zip(self.fs, self.Us)]
 
@@ -368,17 +378,11 @@ class DFRep(_SquaredOneBody):
         return (np.sum(np.abs(f)) for f in self.fs)
 
     def _summary(self) -> dict:
-        return {"threshold": self.threshold, **self.sizes(), "Xi_avg": self.Xi_avg}
-
-    def lambda_report(self, Tprime: np.ndarray) -> LambdaReport:
-        """Basis rotations let lambda_1 use the Schatten 1-norm of T';
-        lambda_2 is (1/4) sum_l (sum_m |f_m^l|)^2 over the retained spectra."""
-        return LambdaReport(self.kind, _schatten_norm(Tprime),
-                            self._lambda_two(), self._summary())
+        return {"threshold": self.threshold, **self.sizes(),
+                "Xi_avg": self.Xi_total / self.L if self.L else 0.0}
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "n_spatial": self.n_spatial, **self._summary(),
-                "fs": [f.tolist() for f in self.fs],
+        return {**super().to_dict(), "fs": [f.tolist() for f in self.fs],
                 "Us": [U.tolist() for U in self.Us]}
 
     @classmethod
@@ -399,8 +403,9 @@ class THCRep(_Rep):
 
     kind = "thc"
     size_fields = ("M",)
-    options = {"rank": Option(int, required=True), "starts": Option(int, 20),
-               "seed": Option(int, 0)}
+    options = {"rank": Option(int, required=True, minimum=1),
+               "starts": Option(int, 20, minimum=1), "seed": Option(int, 0, minimum=0)}
+    rotates_one_body = True
 
     chi: np.ndarray
     zeta: np.ndarray
@@ -432,10 +437,6 @@ class THCRep(_Rep):
         fit = thc.thc_fit(data.V, rank, thc.FitConfig(n_starts=starts, seed=seed))
         return fit.rep, {"objective": fit.objective, "restart": fit.restart}
 
-    @staticmethod
-    def cost(params: costs.CostParams) -> costs.CostReport:
-        return costs.cost_thc(params)
-
     @property
     def M(self) -> int:
         return self.chi.shape[1]
@@ -444,23 +445,18 @@ class THCRep(_Rep):
     def n_spatial(self) -> int:
         return self.chi.shape[0]
 
-    def lambda_report(self, Tprime: np.ndarray) -> LambdaReport:
-        """lambda_1 diagonalizes T' (built from the exact V); lambda_2 is
-        (1/2) sum_{mu,nu} |zeta|."""
-        return LambdaReport(self.kind, _schatten_norm(Tprime),
-                            0.5 * _entrywise_norm(self.zeta), {"M": self.M})
+    def dense(self) -> np.ndarray:
+        """G_pqrs assembled from the factors."""
+        n = self.n_spatial
+        return _hypercontract(self.chi, self.zeta).reshape(n, n, n, n)
 
-    def encoded_terms(self, Tprime: np.ndarray) -> EncodedOperator:
-        Tprime = np.asarray(Tprime, dtype=float)
-        c2 = np.sum(self.chi * self.chi, axis=0)
-        B = np.einsum("pm,qm,m->pq", self.chi, self.chi, self.zeta @ c2)
-        shift = float(np.trace(Tprime)) - 0.5 * float(c2 @ self.zeta @ c2)
-        return EncodedOperator(
-            one_body=Tprime - B, two_body=thc_reconstruct(self), shift=shift)
+    def _lambda_two(self) -> float:
+        """(1/2) sum_{mu,nu} |zeta|."""
+        return 0.5 * _entrywise_norm(self.zeta)
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "n_spatial": self.n_spatial, "M": self.M,
-                "chi": self.chi.tolist(), "zeta": self.zeta.tolist()}
+        return {**super().to_dict(), "chi": self.chi.tolist(),
+                "zeta": self.zeta.tolist()}
 
     @classmethod
     def from_dict(cls, payload: dict) -> THCRep:
@@ -474,10 +470,8 @@ REP_KINDS = {cls.kind: cls for cls in (SparseRep, SFRep, DFRep, THCRep)}
 def sparse_truncate(data: IntegralData, Tprime: np.ndarray, threshold: float):
     """Drop two-body entries at or below threshold.
 
-    Returns the sparse representation together with its lambda report.  The
-    one-body part sums |T'_pq| over all entries (T' must come from the exact,
-    untruncated V); the two-body part is half the entrywise 1-norm of the
-    surviving tensor, counting all n^4 positions.
+    Returns the sparse representation together with its lambda report (T'
+    must come from the exact, untruncated V).
     """
     n = data.n_spatial
     indices = unique_orbits(n)
@@ -563,26 +557,8 @@ def double_factorize(rep: SFRep, threshold: float) -> DFRep:
     )
 
 
-def thc_reconstruct(rep: THCRep) -> np.ndarray:
-    """Assemble G_pqrs from the factors.
-
-    Works through the (n^2, M) intermediate so the cost is O(n^2 M^2 + n^4 M),
-    never materializing an (M, n^4) object.
-    """
-    n = rep.n_spatial
-    E = _pair_matrix(rep.chi)
-    tmp = E @ rep.zeta
-    return (tmp @ E.T).reshape(n, n, n, n)
-
-
-def reconstruction_errors(V: np.ndarray, approx: np.ndarray):
-    """Coherent and incoherent error norms of an approximated tensor.
-
-    Returns (sum |V - approx|, sqrt(sum (V - approx)^2)), both over all n^4
-    entries.
-    """
-    diff = np.asarray(V, dtype=float) - np.asarray(approx, dtype=float)
-    return float(np.sum(np.abs(diff))), float(np.sqrt(np.sum(diff * diff)))
+# G_pqrs of a THC representation: thc_reconstruct(rep) is rep.dense()
+thc_reconstruct = THCRep.dense
 
 
 def _registered(rep):

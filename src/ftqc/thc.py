@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import optimize
 
-from .factorizations import THCRep, _pair_matrix
+from .factorizations import THCRep, _hypercontract, _pair_matrix
 from .tensors import SYMMETRY_ATOL
 
 _PROD_FLOOR = 1e-14
@@ -81,8 +81,7 @@ class FitResult:
 def thc_objective(chi: np.ndarray, zeta: np.ndarray, V: np.ndarray) -> float:
     """Sum of squared residuals of the hypercontracted reconstruction."""
     n = chi.shape[0]
-    E = _pair_matrix(chi)
-    R = E @ zeta @ E.T - V.reshape(n * n, n * n)
+    R = _hypercontract(chi, zeta) - V.reshape(n * n, n * n)
     return float(np.sum(R * R))
 
 

@@ -473,6 +473,82 @@ def test_cost_size_flag_must_be_positive(runner, point, flag, value):
     assert result.stderr == f"error: {flag} must be a positive integer, got {value}\n"
 
 
+# below lambda = sqrt 2 the default beth = floor(2 log2 lambda) is 0 or less;
+# it exited 0 with a negative rotations bucket (-784 for THC at lambda 0.5)
+@pytest.mark.parametrize("point, lam, beth", [
+    (_THC_POINT, "0.5", -2),
+    (_DF_POINT, "1.2", 0),
+], ids=["thc", "df"])
+def test_cost_default_beth_must_reach_one(runner, point, lam, beth):
+    result = runner.invoke(main, ["cost", *point[:-1], lam])
+    assert result.exit_code == 1, _text(result)
+    assert result.stderr == (
+        f"error: --beth defaults to floor(2 log2 lambda) = {beth} at lambda = {lam}; "
+        "set a positive integer\n")
+    result = runner.invoke(main, ["cost", *point[:-1], lam, "--beth", "4"])
+    assert result.exit_code == 0, _text(result)
+
+
+@pytest.mark.parametrize("args", [
+    ["--method", "sparse", "--N", "108", "--d", "705831"],
+    ["--method", "sf", "--N", "108", "--L", "200"],
+], ids=["sparse", "sf"])
+def test_cost_without_beth_takes_small_lambda(runner, args):
+    result = runner.invoke(main, ["cost", *args, "--lambda", "0.5"])
+    assert result.exit_code == 0, _text(result)
+
+
+# each exited 0 (writing an L = 0 rep, or keeping every factor); the range
+# check must also come before the FCIDUMP, which here would fail on its own
+@pytest.mark.parametrize("args, message", [
+    (["--method", "sf", "--target-l", "0"], "--target-l must be an integer >= 1, got 0"),
+    (["--method", "df", "--threshold", "nan"],
+     "--threshold must be a finite number >= 0, got nan"),
+    (["--method", "sparse", "--threshold", "-1"],
+     "--threshold must be a finite number >= 0, got -1.0"),
+    (["--method", "df", "--threshold", "-1"],
+     "--threshold must be a finite number >= 0, got -1.0"),
+    (["--method", "sf", "--tolerance", "nan"],
+     "--tolerance must be a finite number >= 0, got nan"),
+    (["--method", "thc", "--rank", "0"], "--rank must be an integer >= 1, got 0"),
+    (["--method", "thc", "--rank", "4", "--starts", "0"],
+     "--starts must be an integer >= 1, got 0"),
+], ids=["sf-target-l", "df-threshold-nan", "sparse-threshold", "df-threshold",
+        "sf-tolerance", "thc-rank", "thc-starts"])
+def test_factorize_option_out_of_range(runner, tmp_path, args, message):
+    bad_fcidump = tmp_path / "FCIDUMP"
+    bad_fcidump.write_text("&FCI NORB=1,\n&END\n1.0 1 1 1 x\n")
+    result = runner.invoke(main, [
+        "factorize", str(bad_fcidump), *args, "-o", str(tmp_path / "rep.json")])
+    assert result.exit_code == 1, _text(result)
+    assert result.stderr == f"error: {message}\n"
+    assert not (tmp_path / "rep.json").exists()
+
+
+def test_cost_from_reps_names_file_of_bad_size(runner, tmp_path):
+    # an L = 0 rep file was reported without its name
+    reps = tmp_path / "reps"
+    reps.mkdir()
+    (reps / "empty.json").write_text(
+        '{"rep": {"kind": "sf", "n_spatial": 2, "Ws": []}, "lambda": {"total": 1.0}}')
+    result = runner.invoke(main, ["cost", "--method", "all", "--from-reps", str(reps)])
+    assert result.exit_code == 1, _text(result)
+    assert result.stderr == "error: empty.json: L must be a positive integer, got 0\n"
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["--toffoli", "nan", "--tiles", "1908"], "--toffoli"),
+    (["--toffoli", "6.7e9", "--tiles", "nan"], "--tiles"),
+    (["--toffoli", "6.7e9", "--logical-qubits", "nan"], "--logical-qubits"),
+    (["--toffoli", "inf", "--logical-qubits", "2142"], "--toffoli"),
+], ids=["toffoli", "tiles", "logical-qubits", "toffoli-inf"])
+def test_layout_count_must_be_finite(runner, args, flag):
+    result = runner.invoke(main, ["layout", *args])
+    assert result.exit_code == 1, _text(result)
+    value = "inf" if "inf" in args else "nan"
+    assert result.stderr == f"error: {flag} must be finite, got {value}\n"
+
+
 @pytest.mark.parametrize("args", [
     # each input here would fail on its own: the output must fail first
     ["factorize", "{bad_fcidump}", "--method", "sparse", "--threshold", "0.01"],

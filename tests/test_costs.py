@@ -121,6 +121,19 @@ def test_cost_params_sizes_are_positive_integers(field):
         assert getattr(CostParams(N=4, lam=1.0, **{field: value}), field) == value
 
 
+@pytest.mark.parametrize("model, sizes", [
+    (costs.cost_thc, {"M": 350}), (costs.cost_df, {"L": 360, "Xi_total": 13031}),
+])
+def test_default_beth_must_reach_one(model, sizes):
+    # floor(2 log2 lambda) is 1 from lambda = sqrt 2 on, and below 1 before it
+    for lam, beth in ((1.41, 0), (0.5, -2)):
+        with pytest.raises(costs.FieldError, match="^beth defaults to") as err:
+            model(CostParams(N=108, lam=lam, **sizes))
+        assert (err.value.field, err.value.value) == ("beth", beth)
+    assert model(CostParams(N=108, lam=1.42, **sizes)).inputs["beth"] == 1
+    assert model(CostParams(N=108, lam=0.5, beth=3, **sizes)).inputs["beth"] == 3
+
+
 def test_k_override_must_be_power_of_two():
     params = CostParams(N=108, lam=306.3, M=350, aleph=10, beth=16)
     with pytest.raises(ValueError, match="power of two"):

@@ -96,7 +96,7 @@ def test_lambda_sparse_matches_loops():
 def test_single_factorize_reconstructs():
     data, _ = _instance(3, 5)
     rep = fz.single_factorize(data)
-    assert np.max(np.abs(rep.reconstruct() - data.V)) < 1e-8
+    assert np.max(np.abs(rep.dense() - data.V)) < 1e-8
     for W in rep.Ws:
         assert np.allclose(W, W.T, atol=1e-12)
     assert rep.L <= 3 * 3
@@ -117,7 +117,7 @@ def test_single_factorize_truncation_error_monotone():
     for L in range(1, 17):
         rep = fz.single_factorize(data, target_L=L)
         assert rep.L <= L
-        errs.append(float(np.max(np.abs(rep.reconstruct() - data.V))))
+        errs.append(float(np.max(np.abs(rep.dense() - data.V))))
     assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 1e-8
 
@@ -143,7 +143,7 @@ def test_double_factorize_zero_threshold_matches_sf():
     sf = fz.single_factorize(data)
     df = fz.double_factorize(sf, 0.0)
     assert df.L == sf.L
-    assert np.max(np.abs(df.reconstruct() - sf.reconstruct())) < 1e-10
+    assert np.max(np.abs(df.dense() - sf.dense())) < 1e-10
     for U in df.Us:
         assert np.allclose(U.T @ U, np.eye(U.shape[1]), atol=1e-10)
 
@@ -244,39 +244,62 @@ def test_lambda_thc_and_naive_bound():
     assert lam.lambda_two == pytest.approx(0.5 * float(np.sum(np.abs(zeta))), rel=1e-13)
 
 
-def test_reconstruction_errors():
-    V = np.ones((2, 2, 2, 2))
-    approx = np.zeros_like(V)
-    one, two = fz.reconstruction_errors(V, approx)
-    assert one == 16.0
-    assert two == 4.0
+def _sparse_terms(data, kin):
+    """A sparse rep with the tensor its entries leave, B = sum_r V_pqrr, the
+    traced sum sum_pr V_pprr and no centring."""
+    threshold = 0.05
+    rep, _ = fz.sparse_truncate(data, kin.Tprime, threshold)
+    V = np.where(np.abs(data.V) > threshold, data.V, 0.0)
+    n = data.n_spatial
+    B = np.array([[sum(V[p, q, r, r] for r in range(n)) for q in range(n)]
+                  for p in range(n)])
+    return rep, V, B, float(sum(B[p, p] for p in range(n))), 0.0
 
 
-def test_encoded_terms_sparse_algebra():
-    data, kin = _instance(3, 17)
-    rep, _ = fz.sparse_truncate(data, kin.Tprime, 0.0)
-    enc = rep.encoded_terms(kin.Tprime)
-    Vt = rep.dense()
-    B = np.einsum("pqrr->pq", Vt)
-    assert np.allclose(enc.one_body, kin.Tprime - B, atol=1e-13)
-    assert np.allclose(enc.two_body, Vt, atol=1e-13)
-    expected_shift = float(np.trace(kin.Tprime)) - 0.5 * float(np.einsum("pprr->", Vt))
-    assert enc.shift == pytest.approx(expected_shift, rel=1e-13)
+def _squared_terms(rep, Ws):
+    """V = sum W (x) W, B = sum tr(W) W, the traced sum sum tr(W)^2 and the
+    centring (1/4) sum_l (1-norm of W_l)^2, given each W_l's norm."""
+    V = sum(np.einsum("pq,rs->pqrs", W, W) for W, _ in Ws)
+    B = sum(np.trace(W) * W for W, _ in Ws)
+    traced = sum(np.trace(W) ** 2 for W, _ in Ws)
+    return rep, V, B, traced, 0.25 * sum(norm ** 2 for _, norm in Ws)
 
 
-def test_encoded_terms_thc_algebra():
-    data, kin = _instance(3, 18)
+def _sf_terms(data, kin):
+    rep = fz.single_factorize(data)
+    return _squared_terms(rep, [(W, np.sum(np.abs(W))) for W in rep.Ws])
+
+
+def _df_terms(data, kin):
+    rep = fz.double_factorize(fz.single_factorize(data), 0.05)
+    return _squared_terms(rep, [(U @ np.diag(f) @ U.T, np.sum(np.abs(f)))
+                                for f, U in zip(rep.fs, rep.Us)])
+
+
+def _thc_terms(data, kin):
     rng = np.random.default_rng(19)
     chi = rng.normal(size=(3, 4))
     chi /= np.linalg.norm(chi, axis=0)
     zeta = rng.normal(size=(4, 4))
     zeta = (zeta + zeta.T) / 2.0
-    rep = fz.THCRep(chi=chi, zeta=zeta)
-    enc = rep.encoded_terms(kin.Tprime)
-    assert np.allclose(enc.two_body, fz.thc_reconstruct(rep), atol=1e-12)
+    V = np.einsum("pm,qm,mv,rv,sv->pqrs", chi, chi, zeta, chi, chi)
     c2 = np.sum(chi * chi, axis=0)
     B = np.einsum("pm,qm,m->pq", chi, chi, zeta @ c2)
-    assert np.allclose(enc.one_body, kin.Tprime - B, atol=1e-12)
+    return fz.THCRep(chi=chi, zeta=zeta), V, B, float(c2 @ zeta @ c2), 0.0
+
+
+@pytest.mark.parametrize("terms", [_sparse_terms, _sf_terms, _df_terms, _thc_terms],
+                         ids=["sparse", "sf", "df", "thc"])
+def test_encoded_terms(terms):
+    # each kind's algebra written out on its own: one-body T' - B, two-body V,
+    # shift tr T' - (1/2) traced + centring
+    data, kin = _instance(3, 17)
+    rep, V, B, traced, centring = terms(data, kin)
+    enc = rep.encoded_terms(kin.Tprime)
+    assert np.allclose(enc.two_body, V, rtol=0.0, atol=1e-12)
+    assert np.allclose(enc.one_body, kin.Tprime - B, rtol=0.0, atol=1e-12)
+    assert enc.shift == pytest.approx(
+        np.trace(kin.Tprime) - 0.5 * traced + centring, rel=1e-12)
 
 
 def test_lambda_report_dispatch():
