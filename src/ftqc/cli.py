@@ -236,6 +236,13 @@ def factorize(**flags):
         report = rep.lambda_report(kin.Tprime)
     except ValueError as exc:
         _fail(str(exc))
+    sizes = rep.sizes()
+    summary = " ".join(f"{k}={v}" for k, v in sizes.items())
+    if min(sizes.values()) < 1:
+        cut = [f"--{name.replace('_', '-')} {options[name]:g}"
+               for name, option in kind.options.items()
+               if option.truncates and options[name] is not None]
+        _fail(f"{' '.join(cut) or f'method {method}'} keeps no factor: {summary}")
 
     config = RunConfig("factorize", method=method, input=path,
                        output=out_path, params={**options, **extra_params})
@@ -246,10 +253,8 @@ def factorize(**flags):
         "rep": factorizations.rep_to_dict(rep),
         "lambda": report.to_dict(),
     }
-    sizes = rep.sizes()
     payload.update(sizes)
     factorizations.write_rep_json(payload, out_path)
-    summary = " ".join(f"{k}={v}" for k, v in sizes.items())
     click.echo(f"{method}: {summary} lambda={report.total:.6g} -> {out_path}")
 
 
@@ -356,9 +361,13 @@ def cost(**flags):
                 try:
                     params = _cost_params(flags, 2 * rep.n_spatial, lam_total,
                                           rep.sizes())
+                    reports.append(rep.cost(params))
+                except costs.FieldError as exc:
+                    # a size read from the file, or beth defaulted from its lambda
+                    name = _typed(exc.field) if exc.field == "beth" else exc.field
+                    _fail(f"{f.name}: {name} {exc.problem}")
                 except ValueError as exc:
                     _fail(f"{f.name}: {exc}")
-                reports.append(rep.cost(params))
             input_hash = hasher.hexdigest()
             input_name = from_reps
             if not reports:
@@ -379,7 +388,8 @@ def cost(**flags):
         else:
             _fail("method all needs --from-reps")
     except costs.FieldError as exc:
-        # only a defaulted beth gets here; _cost_params reports the rest
+        # only a beth defaulted from --lambda gets here; _cost_params reports
+        # the rest
         _fail(f"{_typed(exc.field)} {exc.problem}")
     except ValueError as exc:
         _fail(str(exc))

@@ -119,12 +119,14 @@ def _hypercontract(chi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
 
 class Option(NamedTuple):
     """A factorize option: how to read it, its default, whether it is
-    required, and the least value it takes."""
+    required, the least value it takes, and whether it drops factors by
+    size (so that a large value can leave none)."""
 
     cast: type
     default: object = None
     required: bool = False
     minimum: float | None = None
+    truncates: bool = False
 
     def problem(self, value) -> str | None:
         """Why a set value is below minimum or not finite, else None."""
@@ -300,7 +302,7 @@ class SFRep(_SquaredOneBody):
     kind = "sf"
     size_fields = ("L",)
     options = {"target_l": Option(int, minimum=1),
-               "tolerance": Option(float, minimum=0.0)}
+               "tolerance": Option(float, minimum=0.0, truncates=True)}
 
     n_spatial: int
     Ws: tuple
@@ -342,7 +344,7 @@ class DFRep(_SquaredOneBody):
 
     kind = "df"
     size_fields = ("L", "Xi_total")
-    options = {"threshold": Option(float, required=True, minimum=0.0),
+    options = {"threshold": Option(float, required=True, minimum=0.0, truncates=True),
                "target_l": Option(int, minimum=1)}
     rotates_one_body = True
 

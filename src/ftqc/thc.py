@@ -3,8 +3,8 @@
 The factor pair (chi, zeta) is fit to a two-electron tensor by nonlinear
 least squares on the reshaped matrix residual E zeta E^T - V, where
 E[(pq), mu] = chi[p, mu] chi[q, mu].  Fits run from several seeded starts,
-each a least-squares zeta at a random chi, polished by L-BFGS-B and a short
-AdaGrad tail that keeps the best parameters seen.
+each a least-squares zeta at a random chi, polished by L-BFGS (ftqc.optimize)
+and a short AdaGrad tail that keeps the best parameters seen.
 
 The optimizers evaluate the objective in Gram form, with G = E^T E:
 ||E zeta E^T - V||^2 = <zeta, G zeta G> - 2 <zeta, E^T V E> + ||V||^2.  One
@@ -30,8 +30,8 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize
 
+from . import optimize
 from .factorizations import THCRep, _hypercontract, _pair_matrix
 from .tensors import SYMMETRY_ATOL
 
@@ -58,14 +58,17 @@ class RestartRecord(NamedTuple):
     """How one restart of thc_fit ended.
 
     objective is thc_objective of the restart's normalized rep (nan when the
-    restart was dropped); nit and status are L-BFGS-B's iteration count and
-    exit status (0 converged, 1 iteration limit, 2 stopped otherwise), or 0
-    and -1 when the least-squares start was not finite and L-BFGS-B never ran.
+    restart was dropped); nit, nfev, status and grad_norm are L-BFGS's
+    iteration count, objective calls, exit status (0 converged, 1 iteration
+    limit, 2 line search failed) and final max|gradient|, or 0, 0, -1 and nan
+    when the least-squares start was not finite and L-BFGS never ran.
     """
 
     objective: float
     nit: int
+    nfev: int
     status: int
+    grad_norm: float
 
 
 @dataclasses.dataclass(frozen=True)
@@ -244,21 +247,20 @@ def thc_fit(V: np.ndarray, rank: int, config: FitConfig | None = None) -> FitRes
         chi0 /= np.linalg.norm(chi0, axis=0)
         zeta0 = _zeta_lstsq(chi0, V2)
         if not np.all(np.isfinite(zeta0)):
-            records.append(RestartRecord(math.nan, 0, -1))
+            records.append(RestartRecord(math.nan, 0, 0, -1, math.nan))
             continue
         c = _chi_scale(zeta0)
         fun = functools.partial(_fit_objective, n=n, M=rank, c=c, V2=V2,
                                 v_norm2=scale)
-        res = optimize.minimize(
-            fun, _to_vector(chi0, zeta0, c), jac=True, method="L-BFGS-B",
-            options={"maxiter": LBFGS_MAXITER},
-        )
+        res = optimize.minimize(fun, _to_vector(chi0, zeta0, c),
+                                maxiter=LBFGS_MAXITER)
         x = _adagrad_tail(fun, res.x, 1e-14 * max(scale, 1.0))
         obj = math.nan
         if x is not None:
             rep = _normalized_rep(*_from_vector(x, n, rank, c))
             obj = thc_objective(rep.chi, rep.zeta, V)
-        records.append(RestartRecord(obj, int(res.nit), int(res.status)))
+        records.append(RestartRecord(obj, res.nit, res.nfev, res.status,
+                                     res.grad_norm))
         if math.isfinite(obj) and (best is None or obj < best[1]):
             best = (rep, obj, restart)
     if best is None:

@@ -8,7 +8,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from ftqc import costs
+from ftqc import costs, tensors
 from ftqc.cli import main
 from ftqc.factorizations import REP_KINDS
 
@@ -525,6 +525,45 @@ def test_factorize_option_out_of_range(runner, tmp_path, args, message):
     assert not (tmp_path / "rep.json").exists()
 
 
+# each wrote an L = 0 rep and exited 0; cost --from-reps then failed on it
+@pytest.mark.parametrize("args, message", [
+    (["--method", "df", "--threshold", "1e9"],
+     "--threshold 1e+09 keeps no factor: L=0 Xi_total=0"),
+    (["--method", "sf", "--tolerance", "1e9"], "--tolerance 1e+09 keeps no factor: L=0"),
+], ids=["df-threshold", "sf-tolerance"])
+def test_factorize_rejects_an_empty_representation(runner, tmp_path, args, message):
+    fcidump = tmp_path / "FCIDUMP"
+    tensors.write_fcidump(tensors.random_instance(5, 3, rank=10), fcidump,
+                          nelec=4, ms2=0)
+    out = tmp_path / "rep.json"
+    result = runner.invoke(main, ["factorize", str(fcidump), *args, "-o", str(out)])
+    assert result.exit_code == 1, _text(result)
+    assert result.stderr == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_cost_from_reps_names_file_of_defaulted_beth(runner, tmp_path, fcidump_file):
+    # beth defaults to floor(2 log2 lambda) = 0 at a recorded lambda of 1.0;
+    # the error did not say which file
+    reps = tmp_path / "reps"
+    reps.mkdir()
+    out = reps / "df.json"
+    result = runner.invoke(main, ["factorize", str(fcidump_file), "--method", "df",
+                                  "--threshold", "1e-3", "-o", str(out)])
+    assert result.exit_code == 0, _text(result)
+    payload = json.loads(out.read_text())
+    payload["lambda"]["total"] = 1.0
+    out.write_text(json.dumps(payload))
+    result = runner.invoke(main, ["cost", "--method", "df", "--from-reps", str(reps)])
+    assert result.exit_code == 1, _text(result)
+    assert result.stderr == (
+        "error: df.json: --beth defaults to floor(2 log2 lambda) = 0 at lambda = 1.0; "
+        "set a positive integer\n")
+    result = runner.invoke(main, ["cost", "--method", "df", "--from-reps", str(reps),
+                                  "--beth", "4"])
+    assert result.exit_code == 0, _text(result)
+
+
 def test_cost_from_reps_names_file_of_bad_size(runner, tmp_path):
     # an L = 0 rep file was reported without its name
     reps = tmp_path / "reps"
@@ -626,40 +665,45 @@ def test_verify_needs_selection(runner):
     assert "choose --suite or --all" in _text(result)
 
 
-# Solver subpackages that only THC fitting needs.  THC fitting imports
-# scipy.optimize, which pulls in the bare scipy package, so the check is on
-# these submodules, not on "scipy".
-_SOLVERS = ("scipy.integrate", "scipy.optimize", "scipy.linalg")
-
 # Runs one command in a fresh interpreter (CliRunner shares this process,
-# whose sys.modules already holds every solver), then prints which solver
-# subpackages the command left loaded.  No arguments: import only.
-_PROBE = f"""
-import sys
+# whose sys.modules already holds SciPy), after importing the modules named
+# in the first argument, then prints every module left loaded.  No further
+# arguments: import only.
+_PROBE = """
+import importlib, sys
+for name in filter(None, sys.argv[1].split(",")):
+    importlib.import_module(name)
 from ftqc.cli import main
-if sys.argv[1:]:
+if sys.argv[2:]:
     try:
-        main(sys.argv[1:])
+        main(sys.argv[2:])
     except SystemExit as exc:
         if exc.code:
             raise
-print("solvers:", *(m for m in {_SOLVERS!r} if m in sys.modules))
+print("loaded:", *sorted(sys.modules))
 """
 
 _SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
-def _solvers_loaded(args, cwd):
+def _modules_loaded(args, cwd, preload=()):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(_SRC), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run([sys.executable, "-c", _PROBE, *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", _PROBE, ",".join(preload), *args],
+                          cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     last = proc.stdout.splitlines()[-1]
-    assert last.startswith("solvers:"), proc.stdout
+    assert last.startswith("loaded:"), proc.stdout
     return last.split()[1:]
+
+
+def _solvers_loaded(args, cwd, preload=()):
+    """The scipy modules loaded after running args."""
+    return [m for m in _modules_loaded(args, cwd, preload)
+            if m.split(".")[0] == "scipy"]
 
 
 @pytest.mark.parametrize("args", [
@@ -677,12 +721,14 @@ def _solvers_loaded(args, cwd):
      "-o", "sparse.json"],
     ["factorize", "{fcidump}", "--method", "sf", "-o", "sf.json"],
     ["factorize", "{fcidump}", "--method", "df", "--threshold", "1e-6", "-o", "df.json"],
+    ["factorize", "{fcidump}", "--method", "thc", "--rank", "4", "--starts", "1",
+     "-o", "thc.json"],
     ["cost", "--method", "all", "--from-reps", "{reps}"],
     ["verify", "--all"],
 ], ids=lambda args: " ".join(args[:4]) or "import")
 def test_command_loads_no_solver_it_does_not_run(request, tmp_path, args):
-    # importing ftqc.cli must not pull in scipy's solvers: only the commands
-    # that fit THC factors pay for them
+    # no command loads SciPy: THC fitting runs ftqc.optimize, and the qDRIFT
+    # interval modes their own Brent solvers
     fill = {}
     if "{fcidump}" in args:
         fill["fcidump"] = str(request.getfixturevalue("fcidump_file"))
@@ -701,8 +747,20 @@ def test_qdrift_interval_mode_loads_no_solver(tmp_path, mode):
                            tmp_path) == []
 
 
-def test_thc_fit_loads_its_solver(tmp_path, fcidump_file):
-    # positive control for the probe above
+def test_solver_probe_sees_a_loaded_scipy(tmp_path, fcidump_file):
+    # positive control for the probe above: the same THC fit, with
+    # scipy.optimize imported first, reports it
     loaded = _solvers_loaded(["factorize", str(fcidump_file), "--method", "thc",
-                              "--rank", "4", "--starts", "1"], tmp_path)
+                              "--rank", "4", "--starts", "1"], tmp_path,
+                             preload=["scipy.optimize"])
     assert "scipy.optimize" in loaded
+
+
+def test_cli_import_loads_no_thc_fit(tmp_path, fcidump_file):
+    # every command pays for importing ftqc.cli; only a THC fit loads the fit
+    # and its optimizer
+    fit = {"ftqc.thc", "ftqc.optimize"}
+    assert fit.isdisjoint(_modules_loaded([], tmp_path))
+    assert fit <= set(_modules_loaded(["factorize", str(fcidump_file), "--method",
+                                       "thc", "--rank", "4", "--starts", "1"],
+                                      tmp_path))

@@ -4,9 +4,9 @@ import types
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import optimize as scipy_optimize
 
-from ftqc import tensors, thc
+from ftqc import optimize, tensors, thc
 from ftqc.factorizations import THCRep, thc_reconstruct
 
 
@@ -152,6 +152,31 @@ def test_fit_hands_lbfgs_the_gradient_of_its_objective(monkeypatch):
         for block in (slice(0, n * M), slice(n * M, None)):
             err = np.max(np.abs(grad[block] - fd[block]))
             assert err / np.max(np.abs(fd[block])) < 1e-6
+
+
+def _scipy_lbfgsb(fun, x0, maxiter):
+    res = scipy_optimize.minimize(fun, x0, jac=True, method="L-BFGS-B",
+                                  options={"maxiter": maxiter})
+    return optimize.Result(res.x, float(res.fun), int(res.nit), int(res.nfev),
+                           int(res.status), float(np.max(np.abs(res.jac))))
+
+
+def test_fit_quality_matches_scipy_lbfgsb(monkeypatch):
+    # every restart here stops at the iteration cap, so this compares how far
+    # 400 iterations get: no worse in the median, and no case 10 % worse
+    ratios = []
+    for n in (8, 12):
+        for seed in (1, 2, 3):
+            V = tensors.random_instance(n, seed=seed, rank=2 * n).V
+            config = thc.FitConfig(n_starts=1, seed=seed)
+            ours = thc.thc_fit(V, 3 * n, config=config).objective
+            with monkeypatch.context() as patch:
+                patch.setattr(thc, "optimize",
+                              types.SimpleNamespace(minimize=_scipy_lbfgsb))
+                reference = thc.thc_fit(V, 3 * n, config=config).objective
+            ratios.append(ours / reference)
+    assert np.median(ratios) <= 1.0, ratios
+    assert max(ratios) <= 1.1, ratios
 
 
 def test_fit_recovers_planted_instance():
