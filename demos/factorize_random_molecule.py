@@ -8,7 +8,7 @@ from ftqc import tensors, thc, verify
 
 data = tensors.random_instance(4, seed=11)
 kin = tensors.compute_T(data)
-print(f"instance: n_spatial={data.n_spatial}, hash={data.content_hash()[:12]}")
+print(f"instance: n_spatial={data.n_spatial}")
 print(f"unique two-body entries above 1e-8: {tensors.count_unique_above(data.V, 1e-8)}")
 print()
 

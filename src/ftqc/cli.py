@@ -432,6 +432,8 @@ def layout(**flags):
     for key in ("toffoli", "tiles", "logical_qubits"):
         if flags[key] is not None and not math.isfinite(flags[key]):
             _fail(f"{_typed(key)} must be finite, got {flags[key]!r}")
+    if lq is not None and lq != int(lq):
+        _fail(f"{_typed('logical_qubits')} must be an integer, got {lq!r}")
 
     try:
         assumptions = surface.PhysicalAssumptions(**_fields(flags, {
@@ -545,6 +547,8 @@ def verify_cmd(suites, run_all, seed, inject_failure):
     selected = list(_SUITES) if run_all else suites
     if not selected:
         _fail("choose --suite or --all")
+    if seed < 0:
+        _fail(f"--seed must be an integer >= 0, got {seed}")
     checks: list[dict] = []
     for name in selected:
         checks.extend(_SUITES[name](seed, inject_failure))

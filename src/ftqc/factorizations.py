@@ -559,10 +559,6 @@ def double_factorize(rep: SFRep, threshold: float) -> DFRep:
     )
 
 
-# G_pqrs of a THC representation: thc_reconstruct(rep) is rep.dense()
-thc_reconstruct = THCRep.dense
-
-
 def _registered(rep):
     if REP_KINDS.get(getattr(rep, "kind", None)) is not type(rep):
         raise TypeError(f"unknown representation type {type(rep).__name__}")

@@ -37,14 +37,15 @@ class PhysicalAssumptions:
     def __post_init__(self):
         if not 0.0 < self.phys_error_rate < 0.01:
             raise ValueError("phys_error_rate must lie in (0, 0.01)")
-        if self.cycle_time <= 0 or self.reaction_time <= 0:
-            raise ValueError("cycle_time and reaction_time must be positive")
         if not 0.0 < self.total_error_budget < 1.0:
             raise ValueError("total_error_budget must lie in (0, 1)")
-        if self.factory_count < 1:
+        if not 1 <= self.factory_count < math.inf:
             raise ValueError("factory_count must be at least 1")
-        if self.factory_rate_per_factory <= 0:
-            raise ValueError("factory_rate_per_factory must be positive")
+        # written as 0 < value < inf, so that nan fails too
+        for name in ("cycle_time", "reaction_time", "factory_rate_per_factory"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclasses.dataclass(frozen=True)

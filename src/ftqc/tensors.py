@@ -18,7 +18,6 @@ quantities, see :func:`compute_T`.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import warnings
 from operator import methodcaller
 
@@ -128,15 +127,6 @@ class IntegralData:
     @property
     def n_spatial(self) -> int:
         return self.h.shape[0]
-
-    def content_hash(self) -> str:
-        """SHA-256 over the raw integral payload, for report provenance."""
-        digest = hashlib.sha256()
-        digest.update(np.int64(self.n_spatial).tobytes())
-        digest.update(self.h.tobytes())
-        digest.update(self.V.tobytes())
-        digest.update(np.float64(self.e_core).tobytes())
-        return digest.hexdigest()
 
 
 @dataclasses.dataclass(frozen=True)

@@ -3,10 +3,10 @@
 The factor pair (chi, zeta) is fit to a two-electron tensor by nonlinear
 least squares on the reshaped matrix residual E zeta E^T - V, where
 E[(pq), mu] = chi[p, mu] chi[q, mu].  Fits run from several seeded starts,
-each a least-squares zeta at a random chi, polished by L-BFGS (ftqc.optimize)
-and a short AdaGrad tail that keeps the best parameters seen.
+each a least-squares zeta at a random chi, polished by one L-BFGS run
+(ftqc.optimize).
 
-The optimizers evaluate the objective in Gram form, with G = E^T E:
+The optimizer evaluates the objective in Gram form, with G = E^T E:
 ||E zeta E^T - V||^2 = <zeta, G zeta G> - 2 <zeta, E^T V E> + ||V||^2.  One
 (n^2, n^2) x (n^2, M) product per evaluation gives the value and the exact
 gradient, and the (n^2, n^2) residual is never formed.  The Gram value
@@ -14,7 +14,7 @@ cancels to absolute precision ~eps ||V||^2, so thc_objective keeps the
 direct residual and scores each restart.  Each restart optimizes
 (u, zeta) with chi = c u and c = 1 / max|zeta_start|: the chi block of the
 Hessian grows as zeta^2 against an O(1) zeta block, and this change of
-variables balances the two while the optimizers still see the exact
+variables balances the two while the optimizer still sees the exact
 gradient df/du = c df/dchi.
 
 For the circuit, unit columns of chi are stored as Givens-style angle
@@ -38,10 +38,7 @@ from .tensors import SYMMETRY_ATOL
 _PROD_FLOOR = 1e-14
 _RESIDUAL_FLOOR = 1e-12
 
-LBFGS_MAXITER = 400
-ADAGRAD_STEPS = 300
-ADAGRAD_RATE = 0.01
-ADAGRAD_EPS = 1e-10
+LBFGS_MAXITER = 500
 
 
 @dataclasses.dataclass(frozen=True)
@@ -196,29 +193,6 @@ def _normalized_rep(chi: np.ndarray, zeta: np.ndarray) -> THCRep:
     return THCRep(chi=chi, zeta=0.5 * (zeta + zeta.T))
 
 
-def _adagrad_tail(fun, x: np.ndarray, floor: float):
-    """Best point seen over the AdaGrad steps from x, so it never regresses.
-
-    Returns None when the start itself is not finite.
-    """
-    obj, grad = fun(x)
-    if not (math.isfinite(obj) and np.all(np.isfinite(x))):
-        return None
-    best_x, best = x, obj
-    accum = np.zeros_like(x)
-    for _ in range(ADAGRAD_STEPS):
-        if best < floor:
-            break
-        accum += grad * grad
-        x = x - ADAGRAD_RATE * grad / (np.sqrt(accum) + ADAGRAD_EPS)
-        obj, grad = fun(x)
-        if not math.isfinite(obj):
-            break
-        if obj < best:
-            best, best_x = obj, x
-    return best_x
-
-
 def thc_fit(V: np.ndarray, rank: int, config: FitConfig | None = None) -> FitResult:
     """Fit a rank-M hypercontraction to the two-electron tensor.
 
@@ -254,10 +228,9 @@ def thc_fit(V: np.ndarray, rank: int, config: FitConfig | None = None) -> FitRes
                                 v_norm2=scale)
         res = optimize.minimize(fun, _to_vector(chi0, zeta0, c),
                                 maxiter=LBFGS_MAXITER)
-        x = _adagrad_tail(fun, res.x, 1e-14 * max(scale, 1.0))
         obj = math.nan
-        if x is not None:
-            rep = _normalized_rep(*_from_vector(x, n, rank, c))
+        if math.isfinite(res.fun):
+            rep = _normalized_rep(*_from_vector(res.x, n, rank, c))
             obj = thc_objective(rep.chi, rep.zeta, V)
         records.append(RestartRecord(obj, res.nit, res.nfev, res.status,
                                      res.grad_norm))

@@ -297,7 +297,7 @@ def test_criterion_6_property_suite():
         zeta_p = prng.normal(size=(M, M))
         zeta_p = 0.5 * (zeta_p + zeta_p.T)
         planted = factorizations.THCRep(chi=chi_p, zeta=zeta_p)
-        Vp = factorizations.thc_reconstruct(planted)
+        Vp = planted.dense()
         if not np.allclose(_loop_thc_reconstruct(planted), Vp, atol=1e-12):
             failures.append(f"{tag}: factorized reconstruction disagrees with loops")
         refit = thc.thc_fit(Vp, M, thc.FitConfig(n_starts=8, seed=seed))

@@ -67,6 +67,10 @@ def test_factorize_sparse_rep_block_pinned(runner, fcidump_file, tmp_path):
      "e2a4b208e2710c055d4ea252760492c3e12d37100a1a3ec93606eb5f52de8f46"),
     ("thc", ["--rank", "9", "--starts", "2", "--seed", "0"], "M=9 lambda=70.9053",
      "d5354ac85bd7ac84645fdcc450878a2dc072d9bee0ac212cb87c09f3e9fdbefa"),
+    # rank 9 is exact at the least-squares start; at rank 4 both restarts run
+    # L-BFGS to its iteration cap, so this case pins the fit itself
+    ("thc", ["--rank", "4", "--starts", "2", "--seed", "0"], "M=4 lambda=2036.45",
+     "e5bb035a2d43250772bcfd527ca7d370c328901eddfc11ea0058c0b6650390af"),
 ])
 def test_factorize_rep_block_pinned(runner, fcidump_file, tmp_path, method,
                                     extra, summary, digest):
@@ -395,8 +399,13 @@ _NAN_FCIDUMP = "&FCI NORB=1,NELEC=2,MS2=0,\n&END\nnan 1 1 1 1\n-1.0 1 1 0 0\n"
     ["cost", "--method", "thc", "--N", "108", "--M", "350", "--lambda", "nan"],
     ["cost", "--method", "sparse", "--N", "108", "--d", "705831",
      "--lambda", "2135.3", "--eps-pea", "inf"],
+    ["layout", "--toffoli", "5.3e9", "--logical-qubits", "2142",
+     "--factory-rate", "nan"],
+    ["layout", "--toffoli", "5.3e9", "--logical-qubits", "2142",
+     "--cycle-time", "nan"],
+    ["layout", "--toffoli", "6.7e9", "--tiles", "1908", "--reaction-time", "inf"],
 ], ids=["nan-fcidump", "thc-lambda-inf", "qdrift-lambda-inf", "lambda-nan",
-        "eps-pea-inf"])
+        "eps-pea-inf", "factory-rate-nan", "cycle-time-nan", "reaction-time-inf"])
 def test_non_finite_input_rejected(runner, tmp_path, args):
     fcidump = tmp_path / "FCIDUMP"
     fcidump.write_text(_NAN_FCIDUMP)
@@ -634,6 +643,16 @@ def test_layout_logical_qubits_path(runner):
     assert est["runtime_seconds"] > 0
 
 
+def test_layout_logical_qubits_must_be_whole(runner):
+    # the model needs a whole count, and the echoed config must not claim one
+    # that it did not use
+    result = runner.invoke(main, [
+        "layout", "--toffoli", "5.3e9", "--logical-qubits", "2142.7",
+    ])
+    assert result.exit_code == 1, _text(result)
+    assert result.stderr == "error: --logical-qubits must be an integer, got 2142.7\n"
+
+
 def test_layout_needs_geometry(runner):
     result = runner.invoke(main, ["layout", "--toffoli", "6.7e9"])
     assert result.exit_code == 1
@@ -657,6 +676,13 @@ def test_verify_injected_failure_fails(runner):
     result = runner.invoke(main, ["verify", "--all", "--inject-failure"])
     assert result.exit_code == 1
     assert "[FAIL]" in result.output
+
+
+def test_verify_negative_seed_rejected(runner):
+    result = runner.invoke(main, ["verify", "--all", "--seed", "-1"])
+    assert result.exit_code == 1, _text(result)
+    assert result.stderr == "error: --seed must be an integer >= 0, got -1\n"
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
 
 
 def test_verify_needs_selection(runner):

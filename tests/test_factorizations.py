@@ -216,7 +216,7 @@ def test_thc_reconstruct_matches_loops():
     zeta = rng.normal(size=(4, 4))
     zeta = (zeta + zeta.T) / 2.0
     rep = fz.THCRep(chi=chi, zeta=zeta)
-    G = fz.thc_reconstruct(rep)
+    G = rep.dense()
     n, M = 3, 4
     for p in range(n):
         for q in range(n):

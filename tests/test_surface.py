@@ -15,7 +15,7 @@ def test_assumptions_validation():
         PhysicalAssumptions(phys_error_rate=0.02)
     with pytest.raises(ValueError, match="phys_error_rate"):
         PhysicalAssumptions(phys_error_rate=0.0)
-    with pytest.raises(ValueError, match="cycle_time and reaction_time"):
+    with pytest.raises(ValueError, match="cycle_time must be positive"):
         PhysicalAssumptions(cycle_time=0.0)
     with pytest.raises(ValueError, match="total_error_budget"):
         PhysicalAssumptions(total_error_budget=1.5)
@@ -23,6 +23,16 @@ def test_assumptions_validation():
         PhysicalAssumptions(factory_count=0)
     with pytest.raises(ValueError, match="factory_rate"):
         PhysicalAssumptions(factory_rate_per_factory=0.0)
+
+
+@pytest.mark.parametrize("field", [
+    "cycle_time", "reaction_time", "factory_rate_per_factory",
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_assumptions_reject_non_finite(field, value):
+    # nan fails every comparison, so a "<= 0" check alone lets it through
+    with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+        PhysicalAssumptions(**{field: value})
 
 
 def test_logical_error_rate_and_tiles():

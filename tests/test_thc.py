@@ -7,7 +7,7 @@ import pytest
 from scipy import optimize as scipy_optimize
 
 from ftqc import optimize, tensors, thc
-from ftqc.factorizations import THCRep, thc_reconstruct
+from ftqc.factorizations import THCRep
 
 
 def _random_factors(n, M, seed):
@@ -20,7 +20,7 @@ def _random_factors(n, M, seed):
 
 def test_objective_zero_at_exact_representation():
     chi, zeta = _random_factors(3, 4, 0)
-    V = thc_reconstruct(THCRep(chi=chi, zeta=zeta))
+    V = THCRep(chi=chi, zeta=zeta).dense()
     assert thc.thc_objective(chi, zeta, V) < 1e-24
 
 
@@ -79,7 +79,7 @@ def test_gradient_matches_finite_differences():
 
 def test_gradient_vanishes_at_exact_representation():
     chi, zeta = _random_factors(3, 5, 6)
-    V = thc_reconstruct(THCRep(chi=chi, zeta=zeta))
+    V = THCRep(chi=chi, zeta=zeta).dense()
     gchi, gzeta = thc.thc_gradient(chi, zeta, V)
     assert np.max(np.abs(gchi)) < 1e-10
     assert np.max(np.abs(gzeta)) < 1e-10
@@ -163,7 +163,7 @@ def _scipy_lbfgsb(fun, x0, maxiter):
 
 def test_fit_quality_matches_scipy_lbfgsb(monkeypatch):
     # every restart here stops at the iteration cap, so this compares how far
-    # 400 iterations get: no worse in the median, and no case 10 % worse
+    # the iteration cap gets: no worse in the median, and no case 10 % worse
     ratios = []
     for n in (8, 12):
         for seed in (1, 2, 3):
@@ -182,7 +182,7 @@ def test_fit_quality_matches_scipy_lbfgsb(monkeypatch):
 def test_fit_recovers_planted_instance():
     n, M = 3, 5
     chi, zeta = _random_factors(n, M, 7)
-    V = thc_reconstruct(THCRep(chi=chi, zeta=zeta))
+    V = THCRep(chi=chi, zeta=zeta).dense()
     result = thc.thc_fit(V, M, config=thc.FitConfig(n_starts=8, seed=0))
     assert result.objective < 1e-8 * float(np.sum(V * V))
 

@@ -112,7 +112,7 @@ def test_lambda_bound_tight_for_planted_thc():
     zeta = rng.normal(size=(4, 4))
     zeta = (zeta + zeta.T) / 2.0
     rep = fz.THCRep(chi=chi, zeta=zeta)
-    V = fz.thc_reconstruct(rep)
+    V = rep.dense()
     V = tensors.symmetrize_eightfold(V)
     h = rng.normal(size=(2, 2))
     data = tensors.IntegralData(h=(h + h.T) / 2.0, V=V)
