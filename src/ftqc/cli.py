@@ -8,12 +8,12 @@ embeds the resolved configuration and an input content hash into its
 report, and emits JSON (full precision), csv, or an aligned table
 (4 significant digits).  Exit codes: 0 ok, 1 domain error, 2 usage error.
 The representation kinds, their factorize flags and their cost models come
-from :data:`ftqc.factorizations.REP_KINDS`.
+from :data:`ftqc.factorizations.REP_KINDS`, and the oracle suites from
+:data:`ftqc.verify.SUITES`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -21,34 +21,10 @@ import pathlib
 import sys
 
 import click
-import numpy as np
 
 from . import costs, factorizations, qdrift, surface, tensors, verify
 
 SCHEMA_VERSION = 1
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: one command, one input, one output."""
-
-    command: str
-    method: str | None = None
-    input: str | None = None
-    output: str | None = None
-    fmt: str = "json"
-    params: dict = dataclasses.field(default_factory=dict)
-
-    def resolved(self) -> dict:
-        out = {
-            "command": self.command,
-            "method": self.method,
-            "input": self.input,
-            "output": self.output,
-            "format": self.fmt,
-        }
-        out.update({k: v for k, v in sorted(self.params.items())})
-        return out
 
 
 def _fail(message: str):
@@ -125,12 +101,16 @@ def _fields(values: dict, fields: dict) -> dict:
             if values[name] is not None}
 
 
+def _resolved(command: str, params: dict, method: str | None = None,
+              input: str | None = None, output: str | None = None,
+              fmt: str = "json") -> dict:
+    """The resolved invocation: one command, one input, one output."""
+    return {"command": command, "method": method, "input": input,
+            "output": output, "format": fmt, **params}
+
+
 def _hash_bytes(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
-
-
-def _hash_file(path: str) -> str:
-    return _hash_bytes(pathlib.Path(path).read_bytes())
 
 
 def _hash_config(resolved: dict) -> str:
@@ -140,8 +120,6 @@ def _hash_config(resolved: dict) -> str:
 
 
 def _fmt_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
@@ -175,10 +153,8 @@ def _emit(payload: dict, fmt: str, output: str | None,
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     elif fmt == "csv":
         text = _render_csv(header, rows)
-    elif fmt == "table":
-        text = _render_table(header, rows)
     else:
-        _fail(f"unknown format {fmt!r}")
+        text = _render_table(header, rows)
     if output:
         pathlib.Path(output).write_text(text)
         click.echo(f"wrote {output}")
@@ -244,12 +220,11 @@ def factorize(**flags):
                if option.truncates and options[name] is not None]
         _fail(f"{' '.join(cut) or f'method {method}'} keeps no factor: {summary}")
 
-    config = RunConfig("factorize", method=method, input=path,
-                       output=out_path, params={**options, **extra_params})
     payload = {
         "schema": SCHEMA_VERSION,
-        "config": config.resolved(),
-        "input_hash": _hash_file(path),
+        "config": _resolved("factorize", {**options, **extra_params},
+                            method=method, input=path, output=out_path),
+        "input_hash": _hash_bytes(pathlib.Path(path).read_bytes()),
         "rep": factorizations.rep_to_dict(rep),
         "lambda": report.to_dict(),
     }
@@ -265,7 +240,7 @@ _REPORT_COLUMNS = ["method", "lambda", "toffoli_per_step", "iterations",
 def _report_row(report: costs.CostReport) -> list:
     return [
         report.method,
-        report.inputs.get("lambda", report.inputs.get("lam")),
+        report.inputs["lambda"],
         report.toffoli_per_step,
         report.iterations,
         report.toffoli_total,
@@ -273,25 +248,31 @@ def _report_row(report: costs.CostReport) -> list:
     ]
 
 
-# CostParams fields set by a cost flag other than their own lower-case name
-_FLAG_OF_FIELD = {"b_r": "br"}
+# cost parameter -> the CostParams field it sets, besides the sizes
+_KNOBS = {"eps_pea": "eps_pea", "br": "b_r", "aleph": "aleph", "aleph1": "aleph1",
+          "aleph2": "aleph2", "beth": "beth", "xi_max": "Xi_max"}
 
 
-def _cost_params(flags: dict, N: int, lam: float, sizes: dict) -> costs.CostParams:
-    """CostParams from N, lambda and the representation's sizes; eps_pea,
-    the bit widths and Xi_max come from the flags that are set, the rest
-    from CostParams' defaults.  A field out of range that a flag set is
-    reported under that flag."""
-    knobs = _fields(flags, {"eps_pea": "eps_pea", "br": "b_r", "aleph": "aleph",
-                            "aleph1": "aleph1", "aleph2": "aleph2", "beth": "beth",
-                            "xi_max": "Xi_max"})
+def _walk_cost(model, flags: dict, N: int, lam: float, sizes: dict,
+               source: str | None = None) -> costs.CostReport:
+    """model's report on CostParams from N, lambda, the sizes and the set
+    knob flags (the rest take CostParams' defaults).  A bad value is named
+    under the flag that set it, else under source, the rep file that gave
+    it; a beth defaulted from lambda is named --beth."""
+    knobs = _fields(flags, _KNOBS)
+    flagged = {field: name for name, field in _KNOBS.items() if field in knobs}
+    if source is None:
+        flagged.update({field: field.lower() for field in sizes})
+    where = "" if source is None else f"{source}: "
     try:
-        return costs.CostParams(N=N, lam=lam, **knobs, **sizes)
+        return model(costs.CostParams(N=N, lam=lam, **knobs, **sizes))
     except costs.FieldError as exc:
-        key = _FLAG_OF_FIELD.get(exc.field, exc.field.lower())
-        if flags.get(key) != exc.value:
-            raise
-        _fail(f"{_typed(key)} {exc.problem}")
+        if exc.field in flagged:
+            _fail(f"{_typed(flagged[exc.field])} {exc.problem}")
+        name = _typed("beth") if exc.field == "beth" else exc.field
+        _fail(f"{where}{name} {exc.problem}")
+    except ValueError as exc:
+        _fail(f"{where}{exc}")
 
 
 def _read_rep_file(path: pathlib.Path):
@@ -303,8 +284,8 @@ def _read_rep_file(path: pathlib.Path):
             raise ValueError("top level is not a JSON object")
         rep = factorizations.rep_from_dict(payload.get("rep", payload))
         lam = payload.get("lambda", {})
-        if not (isinstance(lam, dict)
-                and isinstance(lam.get("total", 0.0), (int, float))):
+        total = lam.get("total", 0.0) if isinstance(lam, dict) else None
+        if isinstance(total, bool) or not isinstance(total, (int, float)):
             raise ValueError("lambda total is not a number")
     except ValueError as exc:
         _fail(f"{path.name}: {exc}")
@@ -343,61 +324,45 @@ def cost(**flags):
 
     reports: list[costs.CostReport] = []
     input_hash = None
-    input_name = None
-    try:
-        if from_reps is not None:
-            rep_dir = pathlib.Path(from_reps)
-            files = sorted(rep_dir.glob("*.json"))
-            if not files:
-                _fail(f"no representation files in {from_reps}")
-            hasher = hashlib.sha256()
-            for f in files:
-                rep, lam_total = _read_rep_file(f)
-                if lam_total is None:
-                    _fail(f"{f.name}: no lambda recorded; refactorize first")
-                if method not in ("all", rep.kind):
-                    continue
-                hasher.update(f.read_bytes())
-                try:
-                    params = _cost_params(flags, 2 * rep.n_spatial, lam_total,
-                                          rep.sizes())
-                    reports.append(rep.cost(params))
-                except costs.FieldError as exc:
-                    # a size read from the file, or beth defaulted from its lambda
-                    name = _typed(exc.field) if exc.field == "beth" else exc.field
-                    _fail(f"{f.name}: {name} {exc.problem}")
-                except ValueError as exc:
-                    _fail(f"{f.name}: {exc}")
-            input_hash = hasher.hexdigest()
-            input_name = from_reps
-            if not reports:
-                _fail(f"no {method} representation found in {from_reps}")
-        elif method == "qdrift":
-            lam_val = _get(flags, "lambda", required=True)
-            eps_val = _get(flags, "eps", default=0.0016)
-            mode_val = _get(flags, "mode", default="rms")
+    if from_reps is not None:
+        files = sorted(pathlib.Path(from_reps).glob("*.json"))
+        if not files:
+            _fail(f"no representation files in {from_reps}")
+        hasher = hashlib.sha256()
+        for f in files:
+            rep, lam_total = _read_rep_file(f)
+            if lam_total is None:
+                _fail(f"{f.name}: no lambda recorded; refactorize first")
+            if method not in ("all", rep.kind):
+                continue
+            hasher.update(f.read_bytes())
+            reports.append(_walk_cost(rep.cost, flags, 2 * rep.n_spatial, lam_total,
+                                      rep.sizes(), source=f.name))
+        if not reports:
+            _fail(f"no {method} representation found in {from_reps}")
+        input_hash = hasher.hexdigest()
+    elif method == "qdrift":
+        lam_val = _get(flags, "lambda", required=True)
+        eps_val = _get(flags, "eps", default=0.0016)
+        mode_val = _get(flags, "mode", default="rms")
+        try:
             reports.append(qdrift.cost_qdrift(lam_val, eps_val, N=flags["n"],
                                               mode=mode_val))
-        elif method in factorizations.REP_KINDS:
-            kind = factorizations.REP_KINDS[method]
-            n_val = _get(flags, "n", required=True)
-            lam_val = _get(flags, "lambda", required=True)
-            sizes = {field: _get(flags, field.lower(), required=True)
-                     for field in kind.size_fields}
-            reports.append(kind.cost(_cost_params(flags, n_val, lam_val, sizes)))
-        else:
-            _fail("method all needs --from-reps")
-    except costs.FieldError as exc:
-        # only a beth defaulted from --lambda gets here; _cost_params reports
-        # the rest
-        _fail(f"{_typed(exc.field)} {exc.problem}")
-    except ValueError as exc:
-        _fail(str(exc))
+        except ValueError as exc:
+            _fail(str(exc))
+    elif method in factorizations.REP_KINDS:
+        kind = factorizations.REP_KINDS[method]
+        n_val = _get(flags, "n", required=True)
+        lam_val = _get(flags, "lambda", required=True)
+        sizes = {field: _get(flags, field.lower(), required=True)
+                 for field in kind.size_fields}
+        reports.append(_walk_cost(kind.cost, flags, n_val, lam_val, sizes))
+    else:
+        _fail("method all needs --from-reps")
 
-    config = RunConfig("cost", method=method, input=input_name, output=output,
-                       fmt=fmt, params=_given(flags, "method", "format", "output",
-                                              "from_reps"))
-    resolved = config.resolved()
+    params = _given(flags, "method", "format", "output", "from_reps")
+    resolved = _resolved("cost", params, method=method, input=from_reps,
+                         output=output, fmt=fmt)
     payload = {
         "schema": SCHEMA_VERSION,
         "config": resolved,
@@ -434,6 +399,8 @@ def layout(**flags):
             _fail(f"{_typed(key)} must be finite, got {flags[key]!r}")
     if lq is not None and lq != int(lq):
         _fail(f"{_typed('logical_qubits')} must be an integer, got {lq!r}")
+    if lq is not None and lq < 1:
+        _fail(f"{_typed('logical_qubits')} must be at least 1, got {lq!r}")
 
     try:
         assumptions = surface.PhysicalAssumptions(**_fields(flags, {
@@ -454,9 +421,8 @@ def layout(**flags):
     except ValueError as exc:
         _fail(str(exc))
 
-    config = RunConfig("layout", output=output, fmt=fmt,
-                       params=_given(flags, "format", "output"))
-    resolved = config.resolved()
+    resolved = _resolved("layout", _given(flags, "format", "output"), output=output,
+                         fmt=fmt)
     payload = {
         "schema": SCHEMA_VERSION,
         "config": resolved,
@@ -468,90 +434,22 @@ def layout(**flags):
     _emit(payload, fmt, output, header=header, rows=[list(est.values())])
 
 
-def _suite_spectrum(seed: int, inject: bool) -> list[dict]:
-    checks = []
-    for i, n in enumerate((2, 3)):
-        data = tensors.random_instance(n, seed=seed + i)
-        kin = tensors.compute_T(data)
-        sf = factorizations.single_factorize(data)
-        rng = np.random.default_rng(seed + 100 + i)
-        chi = rng.normal(size=(n, n * n))
-        chi /= np.linalg.norm(chi, axis=0)
-        zeta = rng.normal(size=(n * n, n * n))
-        reps = [
-            factorizations.sparse_truncate(data, kin.Tprime, 0.0)[0],
-            sf,
-            factorizations.double_factorize(sf, 0.0),
-            factorizations.THCRep(chi=chi, zeta=0.5 * (zeta + zeta.T)),
-        ]
-        for rep in reps:
-            result = verify.lambda_bounds_spectrum(rep, data)
-            ok = result["ok"]
-            note = ""
-            if inject and not checks:
-                # Corrupt the measured spectral radius so the bound must fail.
-                ok = (result["max_abs_shifted"] + result["lambda"]
-                      <= result["lambda"] + verify.LAMBDA_BOUND_ATOL)
-                note = " (injected: spectral radius inflated)"
-            checks.append({
-                "name": f"spectrum {result['method']} n={n}{note}",
-                "ok": bool(ok),
-                "detail": f"margin={result['margin']:.3e}",
-            })
-    return checks
-
-
-def _suite_contiguous(seed: int, inject: bool) -> list[dict]:
-    checks = []
-    for n in range(2, 9):
-        count, correct = verify.simulate_contiguous_schedule(n)
-        expected = costs.contiguous_register_cost(n) + (1 if inject else 0)
-        note = " (injected: target off by one)" if inject else ""
-        checks.append({
-            "name": f"contiguous n={n}{note}",
-            "ok": bool(correct and count == expected),
-            "detail": f"toffoli={count} expected={expected}",
-        })
-    return checks
-
-
-def _suite_reconstruction(seed: int, inject: bool) -> list[dict]:
-    data = tensors.random_instance(3, seed=seed)
-    target = data.V.copy()
-    if inject:
-        target[0, 0, 0, 0] += 1.0
-    note = " (injected: reference perturbed)" if inject else ""
-    kin = tensors.compute_T(data)
-    sf = factorizations.single_factorize(data)
-    checks = []
-    for rep, atol in ((factorizations.sparse_truncate(data, kin.Tprime, 0.0)[0], 1e-10),
-                      (sf, 1e-8),
-                      (factorizations.double_factorize(sf, 0.0), 1e-8)):
-        err = np.max(np.abs(rep.dense() - target))
-        checks.append({"name": f"reconstruction {rep.kind}{note}",
-                       "ok": bool(err <= atol), "detail": f"max_abs={err:.3e}"})
-    return checks
-
-
-_SUITES = {"spectrum": _suite_spectrum, "contiguous": _suite_contiguous,
-           "reconstruction": _suite_reconstruction}
-
-
 @main.command("verify")
-@click.option("--suite", "suites", multiple=True, type=click.Choice(list(_SUITES)))
+@click.option("--suite", "suites", multiple=True,
+              type=click.Choice(list(verify.SUITES)))
 @click.option("--all", "run_all", is_flag=True, default=False)
 @click.option("--seed", type=int, default=0)
 @click.option("--inject-failure", is_flag=True, default=False)
 def verify_cmd(suites, run_all, seed, inject_failure):
     """Run oracle suites; exits 1 if any check fails."""
-    selected = list(_SUITES) if run_all else suites
+    selected = list(verify.SUITES) if run_all else suites
     if not selected:
         _fail("choose --suite or --all")
     if seed < 0:
         _fail(f"--seed must be an integer >= 0, got {seed}")
     checks: list[dict] = []
     for name in selected:
-        checks.extend(_SUITES[name](seed, inject_failure))
+        checks.extend(verify.SUITES[name](seed, inject_failure))
     failed = 0
     for check in checks:
         status = "pass" if check["ok"] else "FAIL"

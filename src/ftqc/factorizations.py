@@ -307,6 +307,12 @@ class SFRep(_SquaredOneBody):
     n_spatial: int
     Ws: tuple
 
+    def __post_init__(self):
+        n = self.n_spatial
+        for l, W in enumerate(self.Ws):
+            if W.shape != (n, n):
+                raise self._invalid(f"factor {l} has shape {W.shape}, not ({n}, {n})")
+
     @classmethod
     def factorize(cls, data: IntegralData, Tprime: np.ndarray,
                   target_l: int | None, tolerance: float | None):
@@ -354,7 +360,14 @@ class DFRep(_SquaredOneBody):
     threshold: float
 
     def __post_init__(self):
-        for l, U in enumerate(self.Us):
+        n = self.n_spatial
+        if len(self.fs) != len(self.Us):
+            raise self._invalid(f"{len(self.fs)} eigenvalue blocks for "
+                                f"{len(self.Us)} eigenvector blocks")
+        for l, (f, U) in enumerate(zip(self.fs, self.Us)):
+            if f.ndim != 1 or U.shape != (n, f.size):
+                raise self._invalid(f"block {l} has eigenvalues of shape {f.shape} "
+                                    f"and eigenvectors of shape {U.shape}")
             gram = U.T @ U
             dev = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
             if dev > 1e-10:

@@ -191,9 +191,10 @@ def layout_estimate(report: CostReport | None = None, *,
     """Physical estimate from a cost report, or from a fixed tile budget.
 
     With a report: data tiles are 1.5 per logical qubit (routing overhead)
-    and factories are added on top.  With a tile budget: the factory tiles
-    are carved out of the budget first, so the logical qubit count and the
-    distance are solved together by fixed-point iteration.
+    and factories are added on top.  With a tile budget: each odd distance
+    from 3 up carves its own factory tiles out of the budget, and the first
+    whose remaining data tiles (at 1.5 per logical qubit) keep the data
+    failure within half the error budget is taken.
     """
     if assumptions is None:
         assumptions = PhysicalAssumptions()
@@ -205,19 +206,16 @@ def layout_estimate(report: CostReport | None = None, *,
         return _assemble(distance, data_tiles, count, lq, assumptions)
     if tiles is None or toffoli is None:
         raise ValueError("need either a cost report or tiles and toffoli")
-    # Odd distances up to 51 repeat within 25 steps; a cycle's largest is feasible.
-    seen = [3]
-    while True:
-        ftiles = factory_tiles(seen[-1], assumptions) if toffoli else 0
-        data_tiles = tiles - ftiles
+    if toffoli < 0:
+        raise ValueError("counts must be nonnegative")
+    for distance in range(3, MAX_CODE_DISTANCE + 1, 2):
+        data_tiles = tiles - (factory_tiles(distance, assumptions) if toffoli else 0)
         if data_tiles <= 0:
-            raise ValueError("tile budget smaller than the factory footprint")
-        new_distance = choose_distance(data_tiles / 1.5, toffoli, assumptions)
-        if new_distance in seen:
-            distance = max(seen[seen.index(new_distance):])
+            if distance == 3:
+                raise ValueError("tile budget smaller than the factory footprint")
             break
-        seen.append(new_distance)
-    ftiles = factory_tiles(distance, assumptions) if toffoli else 0
-    data_tiles = tiles - ftiles
-    lq = data_tiles / 1.5
-    return _assemble(distance, data_tiles, toffoli, lq, assumptions)
+        lq = data_tiles / 1.5
+        if (_data_failure(distance, lq, toffoli, assumptions)
+                <= assumptions.total_error_budget / 2.0):
+            return _assemble(distance, data_tiles, toffoli, lq, assumptions)
+    raise ValueError(f"no distance up to {MAX_CODE_DISTANCE} meets the error budget")

@@ -4,12 +4,14 @@ Small systems are cheap to solve exactly, so the lambda bounds and arithmetic
 schedules backing the cost models are checked against direct computation:
 dense Fock-space diagonalization for the encoded-spectrum bounds, and a
 bit-level carry-save simulation for the contiguous-register arithmetic.
+:data:`SUITES` names the checks ``ftqc verify`` runs on seeded instances.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import costs, factorizations, tensors
 from .tensors import IntegralData, compute_T
 
 MAX_SPIN_ORBITALS = 8
@@ -185,3 +187,70 @@ def simulate_contiguous_schedule(n_bits: int):
         w += 1
     correct = bool(np.array_equal(result, nu * (nu + 1) // 2 + mu))
     return toffolis, correct
+
+
+def _exact_reps(data: IntegralData) -> list:
+    """The sparse, SF and DF reps of data with nothing truncated."""
+    sf = factorizations.single_factorize(data)
+    return [factorizations.sparse_truncate(data, compute_T(data).Tprime, 0.0)[0],
+            sf, factorizations.double_factorize(sf, 0.0)]
+
+
+def _suite_spectrum(seed: int, inject: bool) -> list[dict]:
+    checks = []
+    for i, n in enumerate((2, 3)):
+        data = tensors.random_instance(n, seed=seed + i)
+        rng = np.random.default_rng(seed + 100 + i)
+        chi = rng.normal(size=(n, n * n))
+        chi /= np.linalg.norm(chi, axis=0)
+        zeta = rng.normal(size=(n * n, n * n))
+        thc = factorizations.THCRep(chi=chi, zeta=0.5 * (zeta + zeta.T))
+        for rep in [*_exact_reps(data), thc]:
+            result = lambda_bounds_spectrum(rep, data)
+            ok = result["ok"]
+            note = ""
+            if inject and not checks:
+                # Corrupt the measured spectral radius so the bound must fail.
+                ok = (result["max_abs_shifted"] + result["lambda"]
+                      <= result["lambda"] + LAMBDA_BOUND_ATOL)
+                note = " (injected: spectral radius inflated)"
+            checks.append({
+                "name": f"spectrum {result['method']} n={n}{note}",
+                "ok": bool(ok),
+                "detail": f"margin={result['margin']:.3e}",
+            })
+    return checks
+
+
+def _suite_contiguous(seed: int, inject: bool) -> list[dict]:
+    checks = []
+    for n in range(2, 9):
+        count, correct = simulate_contiguous_schedule(n)
+        expected = costs.contiguous_register_cost(n) + (1 if inject else 0)
+        note = " (injected: target off by one)" if inject else ""
+        checks.append({
+            "name": f"contiguous n={n}{note}",
+            "ok": bool(correct and count == expected),
+            "detail": f"toffoli={count} expected={expected}",
+        })
+    return checks
+
+
+def _suite_reconstruction(seed: int, inject: bool) -> list[dict]:
+    data = tensors.random_instance(3, seed=seed)
+    target = data.V.copy()
+    if inject:
+        target[0, 0, 0, 0] += 1.0
+    note = " (injected: reference perturbed)" if inject else ""
+    checks = []
+    for rep, atol in zip(_exact_reps(data), (1e-10, 1e-8, 1e-8)):
+        err = np.max(np.abs(rep.dense() - target))
+        checks.append({"name": f"reconstruction {rep.kind}{note}",
+                       "ok": bool(err <= atol), "detail": f"max_abs={err:.3e}"})
+    return checks
+
+
+# name -> suite(seed, inject) -> [{"name", "ok", "detail"}]; inject corrupts
+# a reference or a measurement so that the suite must fail
+SUITES = {"spectrum": _suite_spectrum, "contiguous": _suite_contiguous,
+          "reconstruction": _suite_reconstruction}

@@ -353,6 +353,16 @@ def _sparse_file(entries, d):
                                "d": d, "entries": entries}})
 
 
+def _sf_file(Ws, n=2):
+    return json.dumps({"rep": {"kind": "sf", "n_spatial": n, "Ws": Ws},
+                       "lambda": {"total": 1.0}})
+
+
+def _df_file(fs, Us, n=2):
+    return json.dumps({"rep": {"kind": "df", "n_spatial": n, "threshold": 0.0,
+                               "fs": fs, "Us": Us}, "lambda": {"total": 1.0}})
+
+
 @pytest.mark.parametrize("content, message", [
     ('{"rep": {"kind": "sf", "n_spatial": 2}, "lambda": {"total": 1.0}}',
      "bad.json: sf representation lacks field 'Ws'"),
@@ -373,9 +383,26 @@ def _sparse_file(entries, d):
      "bad.json: sparse representation: repeated orbit"),
     (_sparse_file([[0, 0, 0, 0, 0.5]], 999),
      "bad.json: sparse representation: d = 999 but its entries give 4"),
+    # each of these exited 0 (or, for df-U-width, with an IndexError traceback)
+    (_sf_file([[[1.0, 0.0]]]), "bad.json: sf representation: factor 0 has shape (1, 2)"),
+    (_sf_file([1.0]), "bad.json: sf representation: factor 0 has shape ()"),
+    (_df_file([[1.0]], [[[1.0, 0.0]]]),
+     "bad.json: df representation: block 0 has eigenvalues of shape (1,) and "
+     "eigenvectors of shape (1, 2)"),
+    (_df_file([[1.0], [1.0]], [[[1.0], [0.0]]]),
+     "bad.json: df representation: 2 eigenvalue blocks for 1 eigenvector blocks"),
+    (_df_file([[1.0, 5.0]], [[[1.0], [0.0]]]),
+     "bad.json: df representation: block 0 has eigenvalues of shape (2,)"),
+    (_df_file([[1.0]], [[[1.0], [0.0]]], n=5),
+     "bad.json: df representation: block 0 has eigenvalues of shape (1,) and "
+     "eigenvectors of shape (2, 1)"),
+    ('{"rep": {"kind": "sf", "n_spatial": 2, "Ws": []}, "lambda": {"total": true}}',
+     "bad.json: lambda total is not a number"),
 ], ids=["missing-field", "not-an-object", "null-field", "bad-lambda",
         "sparse-row-width", "sparse-index-range", "sparse-negative-index",
-        "sparse-non-canonical", "sparse-repeated-orbit", "sparse-d-mismatch"])
+        "sparse-non-canonical", "sparse-repeated-orbit", "sparse-d-mismatch",
+        "sf-W-shape", "sf-W-scalar", "df-U-width", "df-block-count",
+        "df-f-length", "df-n-spatial", "bool-lambda"])
 def test_cost_from_reps_malformed_file(runner, tmp_path, content, message):
     reps = tmp_path / "reps"
     reps.mkdir()
@@ -643,14 +670,19 @@ def test_layout_logical_qubits_path(runner):
     assert est["runtime_seconds"] > 0
 
 
-def test_layout_logical_qubits_must_be_whole(runner):
-    # the model needs a whole count, and the echoed config must not claim one
-    # that it did not use
+# the model needs a whole count, and the echoed config must not claim one
+# that it did not use; 0 exited 0 with no data tiles, and -3 blamed "counts"
+@pytest.mark.parametrize("count, message", [
+    ("2142.7", "must be an integer, got 2142.7"),
+    ("0", "must be at least 1, got 0.0"),
+    ("-3", "must be at least 1, got -3.0"),
+], ids=["fractional", "zero", "negative"])
+def test_layout_logical_qubits_must_be_whole(runner, count, message):
     result = runner.invoke(main, [
-        "layout", "--toffoli", "5.3e9", "--logical-qubits", "2142.7",
+        "layout", "--toffoli", "5.3e9", "--logical-qubits", count,
     ])
     assert result.exit_code == 1, _text(result)
-    assert result.stderr == "error: --logical-qubits must be an integer, got 2142.7\n"
+    assert result.stderr == f"error: --logical-qubits {message}\n"
 
 
 def test_layout_needs_geometry(runner):

@@ -130,14 +130,40 @@ def test_layout_error_rate_ratios():
     (246.86737601922957, 10811807510.766077, 29),
 ])
 def test_layout_tile_budget_two_cycle_takes_larger_distance(tiles, toffoli, distance):
-    # At these budgets the distance alternates between two values, and only
-    # the larger keeps the data error within half the budget.
+    # At these budgets the data tiles left by the factories of distance - 2
+    # need this distance, so distance - 2 misses the budget at its own tiles
+    # and this distance is the first to meet it.
     a = PhysicalAssumptions(phys_error_rate=1e-3)
     est = surface.layout_estimate(tiles=tiles, toffoli=toffoli, assumptions=a)
     assert est.data_distance == distance
     assert est.logical_error_total <= a.total_error_budget / 2
     smaller = surface.factory_tiles(distance - 2, a)
     assert surface.choose_distance((tiles - smaller) / 1.5, toffoli, a) == distance
+
+
+def _meets_budget_at_own_tiles(distance, tiles, toffoli, a):
+    """Whether distance keeps the data failure within half the budget on the
+    data tiles that its own factories leave."""
+    data_tiles = tiles - (surface.factory_tiles(distance, a) if toffoli else 0)
+    return data_tiles > 0 and (surface._data_failure(distance, data_tiles / 1.5,
+                                                     toffoli, a)
+                               <= a.total_error_budget / 2)
+
+
+# the first failed with "no distance up to 51 meets the error budget", and the
+# second took 43, when the distance was a fixed point iterated from 3
+@pytest.mark.parametrize("tiles, toffoli, p, reaction_time, distance", [
+    (2680, 1e8, 3e-3, 1e-5, 51),
+    (930, 100, 5e-3, 1e-4, 39),
+], ids=["refused", "larger"])
+def test_layout_tile_budget_takes_first_distance_at_its_own_tiles(
+        tiles, toffoli, p, reaction_time, distance):
+    a = PhysicalAssumptions(phys_error_rate=p, factory_count=16,
+                            reaction_time=reaction_time)
+    est = surface.layout_estimate(tiles=tiles, toffoli=toffoli, assumptions=a)
+    assert est.data_distance == distance
+    assert est.logical_error_total <= a.total_error_budget / 2
+    assert not _meets_budget_at_own_tiles(distance - 2, tiles, toffoli, a)
 
 
 def test_layout_validation():
@@ -241,7 +267,11 @@ def _check_estimate(est, a):
 @example(PhysicalAssumptions(), 1908.0, 0.0)
 @given(_assumptions(), st.floats(50.0, 1e5), _TOFFOLIS)
 def test_layout_tile_budget_properties(a, tiles, toffoli):
-    _check_estimate(_estimate_or_skip(tiles=tiles, toffoli=toffoli, assumptions=a), a)
+    est = _estimate_or_skip(tiles=tiles, toffoli=toffoli, assumptions=a)
+    _check_estimate(est, a)
+    # no smaller distance meets the budget on the tiles its factories leave
+    assert not any(_meets_budget_at_own_tiles(d, tiles, toffoli, a)
+                   for d in range(3, est.data_distance, 2))
 
 
 @example(PhysicalAssumptions(), 2142, 5.3e9, 6.7e9)
