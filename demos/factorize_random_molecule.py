@@ -15,7 +15,7 @@ print()
 sparse, _ = fx.sparse_truncate(data, kin.Tprime, 1e-3)
 sf = fx.single_factorize(data)
 df = fx.double_factorize(sf, 1e-4)
-fit = thc.thc_fit(data.V, rank=10, config=thc.FitConfig(n_starts=8, seed=3))
+fit = thc.thc_fit(data.V, rank=10, n_starts=8, seed=3)
 
 reps = [("sparse", sparse), ("sf", sf), ("df", df), ("thc", fit.rep)]
 

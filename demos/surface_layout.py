@@ -10,7 +10,9 @@ print()
 
 for p in (1e-3, 1e-4):
     a = surface.PhysicalAssumptions(phys_error_rate=p)
-    est = surface.layout_estimate(report, assumptions=a)
+    est = surface.layout_estimate(report.toffoli_total,
+                                  logical_qubits=report.logical_qubits,
+                                  assumptions=a)
     print(f"physical error rate {p:g}:")
     print(f"  code distance        {est.data_distance} "
           f"(factories {est.factory_l1_distance}/{est.factory_l2_distance})")
@@ -25,7 +27,9 @@ for p in (1e-3, 1e-4):
 print("factory count vs runtime (p = 1e-3):")
 for count in (1, 2, 4, 8, 16):
     a = surface.PhysicalAssumptions(phys_error_rate=1e-3, factory_count=count)
-    est = surface.layout_estimate(report, assumptions=a)
+    est = surface.layout_estimate(report.toffoli_total,
+                                  logical_qubits=report.logical_qubits,
+                                  assumptions=a)
     print(f"  {count:2d} factories: {est.runtime_days:7.2f} days, "
           f"{est.physical_qubits_total:.3e} physical qubits, "
           f"limited by {est.limiting_constraint}")

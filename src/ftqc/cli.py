@@ -237,7 +237,7 @@ _REPORT_COLUMNS = ["method", "lambda", "toffoli_per_step", "iterations",
                    "toffoli_total", "logical_qubits"]
 
 
-def _report_row(report: costs.CostReport) -> list:
+def _report_row(report) -> list:
     return [
         report.method,
         report.inputs["lambda"],
@@ -254,7 +254,7 @@ _KNOBS = {"eps_pea": "eps_pea", "br": "b_r", "aleph": "aleph", "aleph1": "aleph1
 
 
 def _walk_cost(model, flags: dict, N: int, lam: float, sizes: dict,
-               source: str | None = None) -> costs.CostReport:
+               source: str | None = None):
     """model's report on CostParams from N, lambda, the sizes and the set
     knob flags (the rest take CostParams' defaults).  A bad value is named
     under the flag that set it, else under source, the rep file that gave
@@ -273,6 +273,14 @@ def _walk_cost(model, flags: dict, N: int, lam: float, sizes: dict,
         _fail(f"{where}{name} {exc.problem}")
     except ValueError as exc:
         _fail(f"{where}{exc}")
+
+
+def _reject_unread(flags: dict, reads, where: str):
+    """Fail on the first set parameter, in option order, this path does not read."""
+    reads = {"method", "format", "output", "from_reps", *reads}
+    for param in click.get_current_context().command.params:
+        if flags.get(param.name) is not None and param.name not in reads:
+            _fail(f"{_typed(param.name)} does not apply {where}")
 
 
 def _read_rep_file(path: pathlib.Path):
@@ -322,9 +330,10 @@ def cost(**flags):
     _check_output(output)
     from_reps = flags["from_reps"]
 
-    reports: list[costs.CostReport] = []
+    reports = []
     input_hash = None
     if from_reps is not None:
+        _reject_unread(flags, _KNOBS, "with --from-reps")
         files = sorted(pathlib.Path(from_reps).glob("*.json"))
         if not files:
             _fail(f"no representation files in {from_reps}")
@@ -342,6 +351,7 @@ def cost(**flags):
             _fail(f"no {method} representation found in {from_reps}")
         input_hash = hasher.hexdigest()
     elif method == "qdrift":
+        _reject_unread(flags, ("n", "lambda", "eps", "mode"), "to --method qdrift")
         lam_val = _get(flags, "lambda", required=True)
         eps_val = _get(flags, "eps", default=0.0016)
         mode_val = _get(flags, "mode", default="rms")
@@ -352,6 +362,8 @@ def cost(**flags):
             _fail(str(exc))
     elif method in factorizations.REP_KINDS:
         kind = factorizations.REP_KINDS[method]
+        _reject_unread(flags, ("n", "lambda", *map(str.lower, kind.size_fields),
+                               *_KNOBS), f"to --method {method}")
         n_val = _get(flags, "n", required=True)
         lam_val = _get(flags, "lambda", required=True)
         sizes = {field: _get(flags, field.lower(), required=True)
@@ -392,7 +404,7 @@ def layout(**flags):
     output = flags["output"]
     _check_output(output)
     count = _get(flags, "toffoli", required=True)
-    tiles_val = flags["tiles"]
+    tiles = flags["tiles"]
     lq = flags["logical_qubits"]
     for key in ("toffoli", "tiles", "logical_qubits"):
         if flags[key] is not None and not math.isfinite(flags[key]):
@@ -408,16 +420,12 @@ def layout(**flags):
             "reaction_time": "reaction_time", "budget": "total_error_budget",
             "factories": "factory_count",
             "factory_rate": "factory_rate_per_factory"}))
-        if tiles_val is not None:
-            estimate = surface.layout_estimate(
-                assumptions=assumptions, tiles=tiles_val, toffoli=count)
-        elif lq is not None:
-            report = costs.CostReport(
-                method="external", toffoli_per_step=1, iterations=count,
-                logical_qubits=int(lq))
-            estimate = surface.layout_estimate(report, assumptions=assumptions)
-        else:
-            _fail("need --tiles or --logical-qubits")
+        if (tiles is None) == (lq is None):
+            _fail("need --tiles or --logical-qubits" if tiles is None
+                  else "give --tiles or --logical-qubits, not both")
+        estimate = surface.layout_estimate(
+            count, logical_qubits=None if lq is None else int(lq), tiles=tiles,
+            assumptions=assumptions)
     except ValueError as exc:
         _fail(str(exc))
 

@@ -449,7 +449,7 @@ class THCRep(_Rep):
         best restart and its objective."""
         from . import thc  # thc imports this module
 
-        fit = thc.thc_fit(data.V, rank, thc.FitConfig(n_starts=starts, seed=seed))
+        fit = thc.thc_fit(data.V, rank, n_starts=starts, seed=seed)
         return fit.rep, {"objective": fit.objective, "restart": fit.restart}
 
     @property
@@ -506,10 +506,10 @@ def single_factorize(
     The (n^2, n^2) flattening of an 8-fold-symmetric V maps antisymmetric
     vectors to zero, so every eigenvector with nonzero eigenvalue reshapes to
     a symmetric W_l.  Vectors are kept in descending-eigenvalue order until
-    target_L terms are collected, or until the largest residual diagonal
-    element of the flattened matrix drops below tolerance.  Eigenvalues below
-    -|w|_max * 1e-8 mean the tensor is not PSD and are rejected; small
-    negative values are clipped to zero.
+    target_L terms are collected or the largest residual diagonal element
+    of the flattened matrix drops below tolerance, whichever comes first.
+    Eigenvalues below -|w|_max * 1e-8 mean the tensor is not PSD and are
+    rejected; small negative values are clipped to zero.
     """
     n = data.n_spatial
     M = data.V.reshape(n * n, n * n)
@@ -528,15 +528,13 @@ def single_factorize(
     keep = int(np.count_nonzero(w > 0.0))
     if target_L is not None:
         keep = min(keep, int(target_L))
-    elif tolerance is not None:
+    if tolerance is not None:
         residual = np.diag(M).copy()
-        keep_tol = 0
-        for l in range(w.size):
-            if w[l] <= 0.0 or float(np.max(residual)) < tolerance:
+        for l in range(keep):
+            if float(np.max(residual)) < tolerance:
+                keep = l
                 break
             residual -= w[l] * U[:, l] ** 2
-            keep_tol += 1
-        keep = keep_tol
 
     Ws = []
     for l in range(keep):

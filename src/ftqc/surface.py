@@ -1,6 +1,6 @@
 """Surface-code footprint and runtime estimates for a Toffoli workload.
 
-Logical algorithm costs (Toffoli count, logical qubit count) are mapped to
+Logical algorithm counts (Toffoli count, logical qubit count) are mapped to
 physical-qubit counts and wall-clock time under a simple model: rotated
 surface-code tiles of 2(d+1)^2 physical qubits, magic-state factories with
 a 15d x 8d footprint refreshed every 5d-ish rounds, and a consumption clock
@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-
-from .costs import CostReport
 
 MAX_CODE_DISTANCE = 51
 
@@ -138,36 +136,57 @@ def _data_failure(distance: int, logical_qubits: float, toffoli_count: float,
             * logical_error_rate(distance, assumptions.phys_error_rate))
 
 
-def choose_distance(logical_qubits: float, toffoli_count: float,
-                    assumptions: PhysicalAssumptions) -> int:
+def choose_distance(toffoli_count: float, assumptions: PhysicalAssumptions, *,
+                    logical_qubits: float | None = None,
+                    tiles: float | None = None):
     """Smallest odd distance keeping data-qubit failure within half the budget.
 
-    The round count is self-consistent with the candidate distance, since
-    the Toffoli consumption clock depends on it.
+    Takes exactly one of logical_qubits and tiles and returns (distance,
+    data_tiles, logical_qubits).  A qubit count q needs ceil(1.5 q) data
+    tiles (1.5 per qubit for routing); a tile budget leaves each candidate
+    distance the data tiles its own factories do not take, which hold
+    data_tiles / 1.5 logical qubits.  The round count follows the Toffoli
+    clock at the candidate distance, so the choice is self-consistent.
     """
-    if toffoli_count < 0 or logical_qubits < 0:
+    if (logical_qubits is None) == (tiles is None):
+        raise ValueError("give exactly one of logical_qubits and tiles")
+    if toffoli_count < 0 or (logical_qubits is not None and logical_qubits < 0):
         raise ValueError("counts must be nonnegative")
-    if toffoli_count == 0:
-        return 3
     for distance in range(3, MAX_CODE_DISTANCE + 1, 2):
+        if tiles is not None:
+            data_tiles = tiles - (factory_tiles(distance, assumptions)
+                                  if toffoli_count else 0)
+            if data_tiles <= 0:
+                if distance == 3:
+                    raise ValueError("tile budget smaller than the factory footprint")
+                break
+            logical_qubits = data_tiles / 1.5
         failure = _data_failure(distance, logical_qubits, toffoli_count, assumptions)
         if failure <= assumptions.total_error_budget / 2.0:
-            return distance
-    raise ValueError(
-        f"no distance up to {MAX_CODE_DISTANCE} meets the error budget"
-    )
+            if tiles is None:
+                data_tiles = float(math.ceil(1.5 * logical_qubits))
+            return distance, data_tiles, logical_qubits
+    raise ValueError(f"no distance up to {MAX_CODE_DISTANCE} meets the error budget")
 
 
-def _assemble(distance: int, data_tiles: float, toffoli_count: float,
-              logical_qubits: float,
-              assumptions: PhysicalAssumptions) -> PhysicalEstimate:
-    if toffoli_count == 0:
+def layout_estimate(toffoli: float, *, logical_qubits: float | None = None,
+                    tiles: float | None = None,
+                    assumptions: PhysicalAssumptions | None = None) -> PhysicalEstimate:
+    """Physical estimate for toffoli Toffolis on exactly one of a logical
+    qubit count (factories added on top of its data tiles) or a fixed tile
+    budget (factories carved out of it); see choose_distance.
+    """
+    if assumptions is None:
+        assumptions = PhysicalAssumptions()
+    distance, data_tiles, logical_qubits = choose_distance(
+        toffoli, assumptions, logical_qubits=logical_qubits, tiles=tiles)
+    if toffoli == 0:
         ftiles = 0
         tau, limiting = 0.0, "tick"
     else:
         ftiles = factory_tiles(distance, assumptions)
         tau, limiting = toffoli_interval(distance, assumptions)
-    tiles = data_tiles + ftiles
+    total = data_tiles + ftiles
     l1, l2 = factory_distances(distance)
     return PhysicalEstimate(
         data_distance=distance,
@@ -175,47 +194,10 @@ def _assemble(distance: int, data_tiles: float, toffoli_count: float,
         factory_l2_distance=l2,
         data_tiles=data_tiles,
         factory_tiles=ftiles,
-        tiles=tiles,
-        physical_qubits_total=int(round(tiles * tile_qubits(distance))),
-        runtime_seconds=toffoli_count * tau,
+        tiles=total,
+        physical_qubits_total=int(round(total * tile_qubits(distance))),
+        runtime_seconds=toffoli * tau,
         limiting_constraint=limiting,
-        logical_error_total=_data_failure(distance, logical_qubits,
-                                          toffoli_count, assumptions),
+        logical_error_total=_data_failure(distance, logical_qubits, toffoli,
+                                          assumptions),
     )
-
-
-def layout_estimate(report: CostReport | None = None, *,
-                    assumptions: PhysicalAssumptions | None = None,
-                    tiles: float | None = None,
-                    toffoli: float | None = None) -> PhysicalEstimate:
-    """Physical estimate from a cost report, or from a fixed tile budget.
-
-    With a report: data tiles are 1.5 per logical qubit (routing overhead)
-    and factories are added on top.  With a tile budget: each odd distance
-    from 3 up carves its own factory tiles out of the budget, and the first
-    whose remaining data tiles (at 1.5 per logical qubit) keep the data
-    failure within half the error budget is taken.
-    """
-    if assumptions is None:
-        assumptions = PhysicalAssumptions()
-    if report is not None:
-        lq = report.logical_qubits
-        count = report.toffoli_total
-        distance = choose_distance(lq, count, assumptions)
-        data_tiles = float(math.ceil(1.5 * lq))
-        return _assemble(distance, data_tiles, count, lq, assumptions)
-    if tiles is None or toffoli is None:
-        raise ValueError("need either a cost report or tiles and toffoli")
-    if toffoli < 0:
-        raise ValueError("counts must be nonnegative")
-    for distance in range(3, MAX_CODE_DISTANCE + 1, 2):
-        data_tiles = tiles - (factory_tiles(distance, assumptions) if toffoli else 0)
-        if data_tiles <= 0:
-            if distance == 3:
-                raise ValueError("tile budget smaller than the factory footprint")
-            break
-        lq = data_tiles / 1.5
-        if (_data_failure(distance, lq, toffoli, assumptions)
-                <= assumptions.total_error_budget / 2.0):
-            return _assemble(distance, data_tiles, toffoli, lq, assumptions)
-    raise ValueError(f"no distance up to {MAX_CODE_DISTANCE} meets the error budget")

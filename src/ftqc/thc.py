@@ -41,16 +41,6 @@ _RESIDUAL_FLOOR = 1e-12
 LBFGS_MAXITER = 500
 
 
-@dataclasses.dataclass(frozen=True)
-class FitConfig:
-    n_starts: int = 20
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be at least 1")
-
-
 class RestartRecord(NamedTuple):
     """How one restart of thc_fit ended.
 
@@ -193,30 +183,30 @@ def _normalized_rep(chi: np.ndarray, zeta: np.ndarray) -> THCRep:
     return THCRep(chi=chi, zeta=0.5 * (zeta + zeta.T))
 
 
-def thc_fit(V: np.ndarray, rank: int, config: FitConfig | None = None) -> FitResult:
+def thc_fit(V: np.ndarray, rank: int, *, n_starts: int, seed: int) -> FitResult:
     """Fit a rank-M hypercontraction to the two-electron tensor.
 
-    Runs config.n_starts seeded restarts; a restart that produces a
-    non-finite objective is dropped.  Each surviving restart is scored by
-    thc_objective of its normalized rep; the strictly lowest wins, ties
-    keeping the earliest seed, so results are reproducible bit-for-bit for
-    a fixed config.  V must be symmetric under (pq) <-> (rs).
+    Runs n_starts restarts, restart r seeded with seed + r; a restart that
+    produces a non-finite objective is dropped.  Each surviving restart is
+    scored by thc_objective of its normalized rep; the strictly lowest wins,
+    ties keeping the earliest seed, so results are reproducible bit-for-bit
+    for a fixed (n_starts, seed).  V must be symmetric under (pq) <-> (rs).
     """
-    if config is None:
-        config = FitConfig()
     V = np.asarray(V, dtype=float)
     n = V.shape[0]
     if V.shape != (n, n, n, n):
         raise ValueError("V must be a fourth-order tensor with equal sides")
     if rank < 1:
         raise ValueError("rank must be at least 1")
+    if n_starts < 1:
+        raise ValueError("n_starts must be at least 1")
     V2 = _exchange_symmetric(V)
     scale = float(np.sum(V2 * V2))
 
     best = None
     records = []
-    for restart in range(config.n_starts):
-        rng = np.random.default_rng(config.seed + restart)
+    for restart in range(n_starts):
+        rng = np.random.default_rng(seed + restart)
         chi0 = rng.normal(size=(n, rank))
         chi0 /= np.linalg.norm(chi0, axis=0)
         zeta0 = _zeta_lstsq(chi0, V2)

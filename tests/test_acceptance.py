@@ -245,7 +245,7 @@ def test_criterion_6_property_suite():
         sp, _ = factorizations.sparse_truncate(data, kin.Tprime, 0.0)
         sf = factorizations.single_factorize(data)
         df = factorizations.double_factorize(sf, 1e-8)
-        fit = thc.thc_fit(data.V, n * n, thc.FitConfig(n_starts=3, seed=seed))
+        fit = thc.thc_fit(data.V, n * n, n_starts=3, seed=seed)
 
         for rep in (sp, sf, df, fit.rep):
             rpt = verify.lambda_bounds_spectrum(rep, data)
@@ -300,7 +300,7 @@ def test_criterion_6_property_suite():
         Vp = planted.dense()
         if not np.allclose(_loop_thc_reconstruct(planted), Vp, atol=1e-12):
             failures.append(f"{tag}: factorized reconstruction disagrees with loops")
-        refit = thc.thc_fit(Vp, M, thc.FitConfig(n_starts=8, seed=seed))
+        refit = thc.thc_fit(Vp, M, n_starts=8, seed=seed)
         bar = 1e-8 * float(np.sum(Vp * Vp))
         if refit.objective >= bar:
             failures.append(

@@ -486,6 +486,39 @@ _DF_POINT = ["--method", "df", "--N", "108", "--L", "360", "--xi-total", "13031"
              "--lambda", "294.8"]
 
 
+# each exited 0 and echoed the value it ignored in config; a walk kind
+# reads --N, --lambda, its size flags and the knobs, qDRIFT --lambda, --eps,
+# --N and --mode, and rep files only the knobs
+@pytest.mark.parametrize("args, message", [
+    (["--from-reps", "{reps}", "--method", "df", "--L", "5", "--lambda", "3",
+      "--N", "4"], "--N does not apply with --from-reps"),
+    (["--from-reps", "{reps}", "--method", "df", "--L", "5"],
+     "--L does not apply with --from-reps"),
+    (["--from-reps", "{reps}", "--method", "all", "--beth", "5", "--mode", "rms"],
+     "--mode does not apply with --from-reps"),
+    (["--method", "qdrift", "--lambda", "100", "--eps", "0.01", "--aleph", "5",
+      "--beth", "3", "--M", "7"], "--M does not apply to --method qdrift"),
+    ([*_THC_POINT, "--eps", "0.5", "--mode", "confidence"],
+     "--eps does not apply to --method thc"),
+    ([*_THC_POINT, "--L", "4", "--d", "9"], "--L does not apply to --method thc"),
+    ([*_THC_POINT, "--config", "{cfg}"], "--eps does not apply to --method thc"),
+    ([*_DF_POINT, "--d", "9"], "--d does not apply to --method df"),
+], ids=["from-reps-sizes", "from-reps-L", "from-reps-mode", "qdrift-sizes",
+        "thc-eps", "thc-sizes", "thc-eps-config", "df-d"])
+def test_cost_rejects_a_parameter_its_path_does_not_read(runner, tmp_path, args,
+                                                         message):
+    reps = tmp_path / "reps"
+    reps.mkdir()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("eps = 0.5\n")
+    args = [a.format(reps=reps, cfg=cfg) for a in args]
+    result = runner.invoke(main, ["cost", *args])
+    assert result.exit_code == 1, _text(result)
+    assert result.stderr == f"error: {message}\n"
+    assert "Traceback" not in _text(result)
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+
+
 # every size and bit width a cost flag sets; 0 exited 0 with a report, and
 # -5 named an internal helper
 @pytest.mark.parametrize("point, flag, value", [
@@ -566,7 +599,9 @@ def test_factorize_option_out_of_range(runner, tmp_path, args, message):
     (["--method", "df", "--threshold", "1e9"],
      "--threshold 1e+09 keeps no factor: L=0 Xi_total=0"),
     (["--method", "sf", "--tolerance", "1e9"], "--tolerance 1e+09 keeps no factor: L=0"),
-], ids=["df-threshold", "sf-tolerance"])
+    (["--method", "sf", "--target-l", "5", "--tolerance", "1e9"],
+     "--tolerance 1e+09 keeps no factor: L=0"),
+], ids=["df-threshold", "sf-tolerance", "sf-target-l-and-tolerance"])
 def test_factorize_rejects_an_empty_representation(runner, tmp_path, args, message):
     fcidump = tmp_path / "FCIDUMP"
     tensors.write_fcidump(tensors.random_instance(5, 3, rank=10), fcidump,
@@ -685,10 +720,16 @@ def test_layout_logical_qubits_must_be_whole(runner, count, message):
     assert result.stderr == f"error: --logical-qubits {message}\n"
 
 
-def test_layout_needs_geometry(runner):
-    result = runner.invoke(main, ["layout", "--toffoli", "6.7e9"])
+# both exited 0 with the tile-budget layout, echoing the unread qubit count
+@pytest.mark.parametrize("geometry, message", [
+    ([], "need --tiles or --logical-qubits"),
+    (["--tiles", "1908", "--logical-qubits", "2142"],
+     "give --tiles or --logical-qubits, not both"),
+], ids=["neither", "both"])
+def test_layout_needs_geometry(runner, geometry, message):
+    result = runner.invoke(main, ["layout", "--toffoli", "6.7e9", *geometry])
     assert result.exit_code == 1
-    assert "need --tiles or --logical-qubits" in _text(result)
+    assert result.stderr == f"error: {message}\n"
 
 
 def test_verify_all_passes(runner):

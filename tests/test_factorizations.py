@@ -127,6 +127,12 @@ def test_single_factorize_tolerance_stop():
     loose = fz.single_factorize(data, tolerance=1.0)
     tight = fz.single_factorize(data, tolerance=1e-12)
     assert loose.L <= tight.L
+    # with both stops set, the first one reached ends the expansion; a set
+    # target_L made tolerance ignored
+    assert 1 < loose.L
+    for target in (loose.L - 1, loose.L + 2):
+        both = fz.single_factorize(data, target_L=target, tolerance=1.0)
+        assert both.L == min(target, loose.L)
 
 
 def test_lambda_sf_matches_loops():

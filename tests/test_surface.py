@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import assume, example, given
@@ -62,12 +66,14 @@ def test_factory_distances():
 def test_choose_distance():
     # 1120 data qubits is the 1908-tile floorplan minus its factory footprint
     a = PhysicalAssumptions(phys_error_rate=1e-3)
-    assert surface.choose_distance(1120, 6.7e9, a) == 31
-    assert surface.choose_distance(1120, 6.7e9, PhysicalAssumptions(phys_error_rate=1e-4)) == 15
-    assert surface.choose_distance(1, 10, PhysicalAssumptions(total_error_budget=0.999)) == 3
-    assert surface.choose_distance(10, 0, a) == 3
+    assert surface.choose_distance(6.7e9, a, logical_qubits=1120)[0] == 31
+    assert surface.choose_distance(6.7e9, PhysicalAssumptions(phys_error_rate=1e-4),
+                                   logical_qubits=1120)[0] == 15
+    assert surface.choose_distance(10, PhysicalAssumptions(total_error_budget=0.999),
+                                   logical_qubits=1)[0] == 3
+    assert surface.choose_distance(0, a, logical_qubits=10)[0] == 3
     # the chosen distance passes the half-budget check and the next one down fails
-    d = surface.choose_distance(1120, 6.7e9, a)
+    d = surface.choose_distance(6.7e9, a, logical_qubits=1120)[0]
     tau, _ = surface.toffoli_interval(d, a)
     rounds = 6.7e9 * tau / a.cycle_time
     assert 1120 * rounds * surface.logical_error_rate(d, 1e-3) <= a.total_error_budget / 2
@@ -75,9 +81,10 @@ def test_choose_distance():
     rounds2 = 6.7e9 * tau2 / a.cycle_time
     assert 1120 * rounds2 * surface.logical_error_rate(d - 2, 1e-3) > a.total_error_budget / 2
     with pytest.raises(ValueError, match="counts must be nonnegative"):
-        surface.choose_distance(-1, 100, a)
+        surface.choose_distance(100, a, logical_qubits=-1)[0]
     with pytest.raises(ValueError, match="no distance up to 51"):
-        surface.choose_distance(1e6, 1e40, PhysicalAssumptions(phys_error_rate=9e-3))
+        surface.choose_distance(1e40, PhysicalAssumptions(phys_error_rate=9e-3),
+                                logical_qubits=1e6)[0]
 
 
 def test_layout_tile_budget_em3():
@@ -138,7 +145,8 @@ def test_layout_tile_budget_two_cycle_takes_larger_distance(tiles, toffoli, dist
     assert est.data_distance == distance
     assert est.logical_error_total <= a.total_error_budget / 2
     smaller = surface.factory_tiles(distance - 2, a)
-    assert surface.choose_distance((tiles - smaller) / 1.5, toffoli, a) == distance
+    assert surface.choose_distance(toffoli, a,
+                                   logical_qubits=(tiles - smaller) / 1.5)[0] == distance
 
 
 def _meets_budget_at_own_tiles(distance, tiles, toffoli, a):
@@ -167,10 +175,30 @@ def test_layout_tile_budget_takes_first_distance_at_its_own_tiles(
 
 
 def test_layout_validation():
-    with pytest.raises(ValueError, match="need either a cost report or tiles and toffoli"):
-        surface.layout_estimate()
+    with pytest.raises(ValueError, match="give exactly one of logical_qubits and tiles"):
+        surface.layout_estimate(6.7e9)
     with pytest.raises(ValueError, match="tile budget smaller than the factory footprint"):
         surface.layout_estimate(tiles=10, toffoli=6.7e9)
+
+
+@pytest.mark.parametrize("geometry", [{}, {"logical_qubits": 2142, "tiles": 1908}],
+                         ids=["neither", "both"])
+def test_layout_takes_exactly_one_geometry(geometry):
+    with pytest.raises(ValueError, match="^give exactly one of logical_qubits and tiles$"):
+        surface.layout_estimate(6.7e9, **geometry)
+
+
+def test_surface_imports_no_cost_model():
+    # the layout takes plain counts, so it needs neither the cost models nor numpy
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, ftqc.surface; print(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "ftqc.surface" in loaded
+    assert loaded.isdisjoint({"ftqc.costs", "numpy"})
 
 
 def test_layout_zero_toffoli():
@@ -195,7 +223,9 @@ def _report():
 
 
 def test_layout_from_report():
-    est = surface.layout_estimate(_report())
+    report = _report()
+    est = surface.layout_estimate(report.toffoli_total,
+                                  logical_qubits=report.logical_qubits)
     assert est.data_tiles == math.ceil(1.5 * 2142)
     assert est.tiles == 3441
     assert est.physical_qubits_total == 7047168
@@ -207,7 +237,8 @@ def test_layout_runtime_nonincreasing_in_factories():
     runtimes = []
     for count in (1, 2, 4, 8, 16, 32, 64):
         est = surface.layout_estimate(
-            rep, assumptions=PhysicalAssumptions(factory_count=count)
+            rep.toffoli_total, logical_qubits=rep.logical_qubits,
+            assumptions=PhysicalAssumptions(factory_count=count)
         )
         runtimes.append(est.runtime_seconds)
     assert all(a >= b for a, b in zip(runtimes, runtimes[1:]))
@@ -215,7 +246,8 @@ def test_layout_runtime_nonincreasing_in_factories():
     floor = rep.toffoli_total * 1e-5
     assert runtimes[-1] == floor
     assert runtimes[-2] == floor
-    est = surface.layout_estimate(rep, assumptions=PhysicalAssumptions(factory_count=64))
+    est = surface.layout_estimate(rep.toffoli_total, logical_qubits=rep.logical_qubits,
+                                  assumptions=PhysicalAssumptions(factory_count=64))
     assert est.limiting_constraint == "tick"
 
 
@@ -229,7 +261,8 @@ def test_estimate_to_dict():
 
 def test_cost_report_feeds_layout():
     report = cost_thc(CostParams(N=108, lam=306.3, M=350, aleph=10, beth=16))
-    est = surface.layout_estimate(report)
+    est = surface.layout_estimate(report.toffoli_total,
+                                  logical_qubits=report.logical_qubits)
     assert est.data_tiles == math.ceil(1.5 * report.logical_qubits)
     assert est.runtime_seconds > 0
 
@@ -280,9 +313,8 @@ def test_layout_report_properties(a, logical_qubits, toffoli, more):
     low, high = sorted([toffoli, more])
 
     def estimate(count):
-        report = CostReport(method="external", toffoli_per_step=1, iterations=count,
-                            logical_qubits=logical_qubits)
-        return _estimate_or_skip(report=report, assumptions=a)
+        return _estimate_or_skip(toffoli=count, logical_qubits=logical_qubits,
+                                 assumptions=a)
 
     est_high = estimate(high)
     est_low = estimate(low)

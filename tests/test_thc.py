@@ -109,7 +109,7 @@ def test_gradient_rejects_pair_exchange_asymmetry():
     with pytest.raises(ValueError, match="not symmetric under"):
         thc.thc_gradient(chi, zeta, V)
     with pytest.raises(ValueError, match="not symmetric under"):
-        thc.thc_fit(V, 4, config=thc.FitConfig(n_starts=1))
+        thc.thc_fit(V, 4, n_starts=1, seed=0)
 
 
 def test_gram_value_matches_direct_objective():
@@ -133,7 +133,7 @@ def test_fit_hands_lbfgs_the_gradient_of_its_objective(monkeypatch):
         return optimize.minimize(fun, x0, **kwargs)
 
     monkeypatch.setattr(thc, "optimize", types.SimpleNamespace(minimize=spy))
-    thc.thc_fit(V, M, config=thc.FitConfig(n_starts=1))
+    thc.thc_fit(V, M, n_starts=1, seed=0)
     fun, x0 = calls[0]
 
     def direct(x):
@@ -168,12 +168,11 @@ def test_fit_quality_matches_scipy_lbfgsb(monkeypatch):
     for n in (8, 12):
         for seed in (1, 2, 3):
             V = tensors.random_instance(n, seed=seed, rank=2 * n).V
-            config = thc.FitConfig(n_starts=1, seed=seed)
-            ours = thc.thc_fit(V, 3 * n, config=config).objective
+            ours = thc.thc_fit(V, 3 * n, n_starts=1, seed=seed).objective
             with monkeypatch.context() as patch:
                 patch.setattr(thc, "optimize",
                               types.SimpleNamespace(minimize=_scipy_lbfgsb))
-                reference = thc.thc_fit(V, 3 * n, config=config).objective
+                reference = thc.thc_fit(V, 3 * n, n_starts=1, seed=seed).objective
             ratios.append(ours / reference)
     assert np.median(ratios) <= 1.0, ratios
     assert max(ratios) <= 1.1, ratios
@@ -183,21 +182,20 @@ def test_fit_recovers_planted_instance():
     n, M = 3, 5
     chi, zeta = _random_factors(n, M, 7)
     V = THCRep(chi=chi, zeta=zeta).dense()
-    result = thc.thc_fit(V, M, config=thc.FitConfig(n_starts=8, seed=0))
+    result = thc.thc_fit(V, M, n_starts=8, seed=0)
     assert result.objective < 1e-8 * float(np.sum(V * V))
 
 
 def test_fit_overparameterized_interpolates():
     V = tensors.random_instance(3, seed=5).V
-    result = thc.thc_fit(V, 9, config=thc.FitConfig(n_starts=6, seed=1))
+    result = thc.thc_fit(V, 9, n_starts=6, seed=1)
     assert result.objective < 1e-6 * float(np.sum(V * V))
 
 
 def test_fit_bit_reproducible():
     V = tensors.random_instance(3, seed=11).V
-    cfg = thc.FitConfig(n_starts=4, seed=0)
-    a = thc.thc_fit(V, 6, config=cfg)
-    b = thc.thc_fit(V, 6, config=cfg)
+    a = thc.thc_fit(V, 6, n_starts=4, seed=0)
+    b = thc.thc_fit(V, 6, n_starts=4, seed=0)
     assert a.objective == b.objective
     assert np.array_equal(a.rep.chi, b.rep.chi)
     assert np.array_equal(a.rep.zeta, b.rep.zeta)
@@ -206,7 +204,7 @@ def test_fit_bit_reproducible():
 
 def test_fit_result_is_valid_rep():
     V = tensors.random_instance(3, seed=11).V
-    result = thc.thc_fit(V, 6, config=thc.FitConfig(n_starts=2, seed=0))
+    result = thc.thc_fit(V, 6, n_starts=2, seed=0)
     rep = result.rep
     assert np.allclose(np.linalg.norm(rep.chi, axis=0), 1.0, atol=1e-10)
     assert np.allclose(rep.zeta, rep.zeta.T, atol=1e-12)
@@ -217,7 +215,7 @@ def test_fit_result_is_valid_rep():
 
 def test_fit_records_every_restart():
     V = tensors.random_instance(4, seed=11).V
-    result = thc.thc_fit(V, 5, config=thc.FitConfig(n_starts=3, seed=0))
+    result = thc.thc_fit(V, 5, n_starts=3, seed=0)
     assert len(result.restarts) == 3
     assert result.objective == result.restarts[result.restart].objective
     assert result.objective == min(r.objective for r in result.restarts)
@@ -237,7 +235,7 @@ def test_objective_invariant_under_column_permutation():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        thc.FitConfig(n_starts=0)
+        thc.thc_fit(tensors.random_instance(3, seed=0).V, 2, n_starts=0, seed=0)
 
 
 def test_angles_zero_for_first_axis_column():
@@ -275,7 +273,7 @@ def test_angles_reject_weight_beyond_exhausted_prefix():
 @functools.lru_cache(maxsize=None)
 def _fitted_rep_of_instance(seed):
     V = tensors.random_instance(3, seed=seed).V
-    return thc.thc_fit(V, 6, config=thc.FitConfig(n_starts=4, seed=0)).rep
+    return thc.thc_fit(V, 6, n_starts=4, seed=0).rep
 
 
 def _fitted_rep():

@@ -93,7 +93,7 @@ def test_lambda_bounds_all_representations():
         sf = fz.single_factorize(data)
         df = fz.double_factorize(sf, 1e-8)
         reps = [sparse, sf, df]
-        fit = thc.thc_fit(data.V, n * n, config=thc.FitConfig(n_starts=3, seed=seed))
+        fit = thc.thc_fit(data.V, n * n, n_starts=3, seed=seed)
         reps.append(fit.rep)
         for rep in reps:
             report = verify.lambda_bounds_spectrum(rep, data)
